@@ -1,6 +1,7 @@
 #include "host/hash_ring.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace wbsn::host {
 
@@ -20,11 +21,24 @@ std::uint64_t HashRing::vnode_point(std::size_t shard, std::size_t replica) {
                     static_cast<std::uint64_t>(replica));
 }
 
+namespace {
+
+std::vector<std::size_t> contiguous(std::size_t shards) {
+  std::vector<std::size_t> ids(shards);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  return ids;
+}
+
+}  // namespace
+
 HashRing::HashRing(std::size_t shards, std::size_t vnodes_per_shard)
-    : shards_(shards), vnodes_per_shard_(std::max<std::size_t>(1, vnodes_per_shard)) {
-  ring_.reserve(shards_ * vnodes_per_shard_);
-  for (std::size_t shard = 0; shard < shards_; ++shard) {
-    for (std::size_t replica = 0; replica < vnodes_per_shard_; ++replica) {
+    : HashRing(contiguous(shards), vnodes_per_shard) {}
+
+HashRing::HashRing(const std::vector<std::size_t>& shard_ids, std::size_t vnodes_per_shard) {
+  const std::size_t vnodes = std::max<std::size_t>(1, vnodes_per_shard);
+  ring_.reserve(shard_ids.size() * vnodes);
+  for (const std::size_t shard : shard_ids) {
+    for (std::size_t replica = 0; replica < vnodes; ++replica) {
       ring_.push_back({vnode_point(shard, replica), static_cast<std::uint32_t>(shard)});
     }
   }
@@ -36,23 +50,9 @@ HashRing::HashRing(std::size_t shards, std::size_t vnodes_per_shard)
   });
 }
 
-HashRing::HashRing(const std::vector<std::size_t>& shard_ids, std::size_t vnodes_per_shard)
-    : shards_(shard_ids.size()),
-      vnodes_per_shard_(std::max<std::size_t>(1, vnodes_per_shard)) {
-  ring_.reserve(shards_ * vnodes_per_shard_);
-  for (const std::size_t shard : shard_ids) {
-    for (std::size_t replica = 0; replica < vnodes_per_shard_; ++replica) {
-      ring_.push_back({vnode_point(shard, replica), static_cast<std::uint32_t>(shard)});
-    }
-  }
-  std::sort(ring_.begin(), ring_.end(), [](const Vnode& a, const Vnode& b) {
-    return a.point != b.point ? a.point < b.point : a.shard < b.shard;
-  });
-}
-
-std::size_t HashRing::owner_of_point(std::uint64_t point) const {
+std::size_t HashRing::owner(std::uint32_t patient_id) const {
   const auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), point,
+      ring_.begin(), ring_.end(), splitmix64(patient_id),
       [](const Vnode& vnode, std::uint64_t p) { return vnode.point < p; });
   return it != ring_.end() ? it->shard : ring_.front().shard;  // Wrap.
 }

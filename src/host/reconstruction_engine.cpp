@@ -483,7 +483,7 @@ cs::SolveTier ReconstructionEngine::tier_for(std::size_t rung, std::uint32_t m_f
   const DegradeTierSpec& spec = cfg_.degrade_tiers[clamped - 1];
   tier.tier = static_cast<std::uint8_t>(clamped);
   tier.iteration_cap = spec.iteration_cap;
-  if (cfg_.degrade_policy == DegradePolicy::kCrIter && spec.cr_percent > 0.0) {
+  if (spec.cr_percent > 0.0) {
     const auto rows = static_cast<std::uint32_t>(cs::rows_for_cr(spec.cr_percent, n));
     // Only truncation counts: a rung whose CR keeps at least as many rows
     // as the window actually carries leaves the operator whole.
@@ -525,7 +525,7 @@ std::vector<std::uint32_t> ReconstructionEngine::pending_patients(std::size_t ma
 }
 
 void ReconstructionEngine::maybe_degrade_backlog() {
-  if (cfg_.degrade_policy == DegradePolicy::kOff || cfg_.degrade_tiers.empty()) return;
+  if (cfg_.degrade_tiers.empty()) return;
   const double deadline_ms = cfg_.slo.deadline_ms;
   if (deadline_ms <= 0.0) return;
   const double budget_ms = deadline_ms * std::max(cfg_.degrade_backlog_deadlines, 0.0);
@@ -662,7 +662,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   // capacity, deadline-aware shedding may instead free a slot by dropping
   // the queued window predicted to miss its deadline — the arrival then
   // takes over the victim's reservation.  Demote-first: before any queued
-  // window is shed whole, an active DegradePolicy first tries to relieve
+  // window is shed whole, a non-empty degrade ladder first tries to relieve
   // the pressure by degrading queued routine windows to a cheaper tier —
   // which can dissolve the predicted miss entirely (the arrival then
   // bounces, but the backlog drains faster and stops hitting capacity).
@@ -683,7 +683,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   item->enqueue_time = Clock::now();
   // Price the admission into the backlog (at the window's tier — a preset
   // tier is charged at its cheaper cost).  Always on: backlog_wait_ms()
-  // feeds the CR-hint pressure signal regardless of DegradePolicy, and
+  // feeds the CR-hint pressure signal with or without a degrade ladder, and
   // counters never affect values.
   item->charged_cost_us = charge_estimate_us(item->window);
   if (item->charged_cost_us > 0) {
@@ -722,8 +722,8 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
   // past the deadline budget, demote queued routine windows now instead of
   // waiting for capacity to fill (degrade_backlog_deadlines <= 0 leaves
   // only the demote-before-shed step).
-  if (cfg_.degrade_policy != DegradePolicy::kOff && !cfg_.degrade_tiers.empty() &&
-      cfg_.degrade_backlog_deadlines > 0.0 && cfg_.slo.deadline_ms > 0.0 &&
+  if (!cfg_.degrade_tiers.empty() && cfg_.degrade_backlog_deadlines > 0.0 &&
+      cfg_.slo.deadline_ms > 0.0 &&
       backlog_wait_ms() > cfg_.slo.deadline_ms * cfg_.degrade_backlog_deadlines) {
     maybe_degrade_backlog();
   }

@@ -100,7 +100,7 @@ struct CompressedWindow {
   /// fabric was resized while the window was in flight.
   std::uint32_t route_tag = 0;
   /// Solve fidelity tier.  Tier 0 (the default) is the full-fidelity solve
-  /// and the only tier the engine ever uses unless a DegradePolicy demotes
+  /// and the only tier the engine ever uses unless the degrade ladder demotes
   /// the window after admission — or the submitter presets a tier, which
   /// the engine honors as-is (the re-solve audit path).  A non-zero tier
   /// changes the window's reconstruction (fewer rows and/or fewer FISTA
@@ -119,7 +119,7 @@ struct WindowResult {
   std::uint32_t route_tag = 0;    ///< Echo of CompressedWindow::route_tag.
   std::uint64_t ticket = 0;       ///< Engine-wide submission sequence number.
   /// Tier the window was actually solved at (submitted tier, or the tier a
-  /// DegradePolicy demoted it to while queued).
+  /// degrade ladder demoted it to while queued).
   cs::SolveTier solve_tier{};
   bool degraded = false;          ///< solve_tier.tier != 0.
   std::vector<double> signal;     ///< Reconstructed time-domain window.
@@ -155,31 +155,19 @@ struct BatchResult {
 /// fabric's batch wrappers.
 std::vector<PatientStats> aggregate_patient_stats(std::span<const WindowResult> windows);
 
-/// How the engine may trade reconstruction fidelity for backlog relief —
-/// degrading routine windows along the paper's Figure-5 SNR/CR curve
-/// instead of shedding them whole.  Urgent (AF-alarm) windows always keep
-/// full fidelity regardless of policy.
-enum class DegradePolicy {
-  /// Never degrade.  Results are bit-identical to an engine without the
-  /// tier machinery (tier stays 0 everywhere).
-  kOff,
-  /// Demote queued routine windows by capping FISTA iterations only; the
-  /// sensing operator keeps every measurement row.
-  kIterCap,
-  /// Demote by raising the effective compression ratio (row-truncating the
-  /// sensing operator to rows_for_cr(cr, n) measurements) AND capping
-  /// iterations — the full Figure-5 trade.
-  kCrIter,
-};
-
-/// One rung of the degrade ladder (EngineConfig::degrade_tiers).  Rung k
-/// of the config vector is solve tier k+1; demotion only ever moves a
-/// window down the ladder (tier never decreases while queued).
+/// One rung of the degrade ladder (EngineConfig::degrade_tiers): how the
+/// engine trades reconstruction fidelity for backlog relief — degrading
+/// routine windows along the paper's Figure-5 SNR/CR curve instead of
+/// shedding them whole.  Rung k of the config vector is solve tier k+1;
+/// demotion only ever moves a window down the ladder (tier never
+/// decreases while queued).  Urgent (AF-alarm) windows always keep full
+/// fidelity.
 struct DegradeTierSpec {
-  /// Effective compression ratio at this rung, percent.  Used only under
-  /// DegradePolicy::kCrIter, and only when it truncates (the resulting row
-  /// count is clamped to the window's actual measurements).  0 keeps every
-  /// row.
+  /// Effective compression ratio at this rung, percent: the sensing
+  /// operator is row-truncated to rows_for_cr(cr, n) measurements, but
+  /// only when that truncates (the row count is clamped to the window's
+  /// actual measurements).  0 keeps every row — a rung that only caps
+  /// iterations.
   double cr_percent = 0.0;
   /// FISTA iteration cap at this rung; 0 = the full configured budget.
   std::uint32_t iteration_cap = 0;
@@ -228,15 +216,14 @@ struct EngineConfig {
   /// predictor to pick younger victims (or reject the arrival).  <= 1
   /// (default) disables aging — pure worst-overshoot victim selection.
   double shed_starvation_aging = 0.0;
-  /// Fidelity-degrade policy: when the priced backlog overshoots the
-  /// deadline budget (see degrade_backlog_deadlines) — and again as the
+  /// The degrade ladder, cheapest rung last; see DegradeTierSpec.  When
+  /// non-empty, and whenever the priced backlog overshoots the deadline
+  /// budget (see degrade_backlog_deadlines) — and again as the
   /// demote-first step wherever the deadline-shed victim scan would fire —
-  /// queued routine windows are demoted one rung down degrade_tiers
-  /// ("solve cheaper") before any window is shed whole.  kOff (default)
-  /// keeps PR-8 behavior bit for bit.  Requires slo.deadline_ms > 0 and a
-  /// non-empty degrade_tiers to act.
-  DegradePolicy degrade_policy = DegradePolicy::kOff;
-  /// The degrade ladder, cheapest rung last; see DegradeTierSpec.
+  /// queued routine windows are demoted one rung down the ladder ("solve
+  /// cheaper") before any window is shed whole.  Empty (the default)
+  /// never degrades: results are bit-identical to an engine without the
+  /// tier machinery.  Requires slo.deadline_ms > 0 to act.
   std::vector<DegradeTierSpec> degrade_tiers;
   /// Proactive-demotion threshold: after an admission, if
   /// backlog_wait_ms() exceeds this many deadlines, demote queued routine
@@ -524,9 +511,8 @@ class ReconstructionEngine {
   /// Demote-first: walks the routine lane demoting queued windows one rung
   /// down the degrade ladder until the priced backlog fits inside
   /// degrade_backlog_deadlines (or every routine window is at the bottom
-  /// rung).  Urgent windows are never touched.  No-op unless
-  /// degrade_policy is active, the ladder is non-empty, and a deadline is
-  /// configured.
+  /// rung).  Urgent windows are never touched.  No-op unless the ladder
+  /// is non-empty and a deadline is configured.
   void maybe_degrade_backlog();
   /// The per-patient tracker for `patient_id` (created on first use), or
   /// nullptr when per_patient_slo is off.
@@ -560,8 +546,8 @@ class ReconstructionEngine {
   /// Sum of the admission-time solve-cost estimates (microseconds) of
   /// every window currently queued or solving — the backlog priced in
   /// time rather than windows.  Charged at admission, re-priced on
-  /// demotion, released exactly at completion/shed.  Maintained regardless
-  /// of DegradePolicy (it feeds backlog_wait_ms() and the CR-hint
+  /// demotion, released exactly at completion/shed.  Maintained with or
+  /// without a degrade ladder (it feeds backlog_wait_ms() and the CR-hint
   /// pressure signal, and counters never affect values).
   std::atomic<std::uint64_t> pending_cost_us_{0};
 

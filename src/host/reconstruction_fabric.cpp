@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -13,13 +14,12 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-ReconstructionFabric::ReconstructionFabric(FabricConfig cfg) : cfg_(cfg) {
-  const int shards = std::max(1, cfg_.shards);
-  cfg_.vnodes_per_shard = std::max(1, cfg_.vnodes_per_shard);
-  ring_ = HashRing(static_cast<std::size_t>(shards),
-                   static_cast<std::size_t>(cfg_.vnodes_per_shard));
-  active_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
+ReconstructionFabric::ReconstructionFabric(FabricConfig cfg)
+    : cfg_(cfg),
+      topology_(static_cast<std::size_t>(std::max(1, cfg.shards)),
+                static_cast<std::size_t>(std::max(1, cfg.vnodes_per_shard))) {
+  active_.reserve(topology_.slots());
+  for (std::size_t i = 0; i < topology_.slots(); ++i) {
     active_.push_back(std::make_shared<ReconstructionEngine>(cfg_.engine));
   }
   reaped_slo_.configure(cfg_.engine.slo);
@@ -35,82 +35,68 @@ std::size_t ReconstructionFabric::shard_count() const {
 
 std::uint32_t ReconstructionFabric::epoch() const {
   std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  return epoch_;
+  return topology_.epoch();
 }
 
 std::size_t ReconstructionFabric::shard_of(std::uint32_t patient_id) const {
   std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  return ring_.owner(patient_id);
+  return topology_.owner(patient_id);
 }
 
 ReconstructionEngine& ReconstructionFabric::shard(std::size_t index) {
   std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  if (index >= active_.size() || !active_[index]) {
-    throw std::out_of_range("shard index not active");
-  }
+  if (!topology_.live(index)) throw std::out_of_range("shard index not active");
   return *active_[index];
 }
 
 const ReconstructionEngine& ReconstructionFabric::shard(std::size_t index) const {
-  std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  if (index >= active_.size() || !active_[index]) {
-    throw std::out_of_range("shard index not active");
-  }
-  return *active_[index];
+  return const_cast<ReconstructionFabric*>(this)->shard(index);
 }
 
 std::size_t ReconstructionFabric::live_shard_count() const {
   std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  std::size_t live = 0;
-  for (const auto& engine : active_) {
-    if (engine) ++live;
-  }
-  return live;
-}
-
-void ReconstructionFabric::note_patient(std::uint32_t patient_id) {
-  std::lock_guard<std::mutex> lk(patients_mutex_);
-  patients_.insert(patient_id);
+  return topology_.live_count();
 }
 
 std::optional<std::uint64_t> ReconstructionFabric::try_submit(CompressedWindow&& window) {
-  // The shared lock is held across the engine call: a resize's table swap
-  // therefore happens-before or happens-after any submission, never in
-  // between routing and admission — an admitted window is always visible
-  // to the reshard's drain, and a retired shard can never receive one.
-  std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  const std::size_t shard = ring_.owner(window.patient_id);
-  window.route_tag = epoch_;
-  const std::uint32_t patient_id = window.patient_id;
-  const auto local = active_[shard]->try_submit(std::move(window));
-  if (!local.has_value()) return std::nullopt;
-  note_patient(patient_id);
-  return compose_ticket(epoch_, shard, *local);
+  return route_and_submit(window, /*blocking=*/false);
 }
 
 std::uint64_t ReconstructionFabric::submit(CompressedWindow window) {
-  // Like try_submit, the shared lock covers the engine call; a submit
-  // waiting out backpressure stalls a concurrent resize's table swap (the
-  // shard's workers drain the backlog without any fabric lock, so both
-  // always make progress), which keeps the no-straggler guarantee above.
-  std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  const std::size_t shard = ring_.owner(window.patient_id);
-  window.route_tag = epoch_;
-  const std::uint32_t patient_id = window.patient_id;
-  const std::uint64_t local = active_[shard]->submit(std::move(window));
-  note_patient(patient_id);
-  return compose_ticket(epoch_, shard, local);
+  return *route_and_submit(window, /*blocking=*/true);
 }
 
-std::vector<std::pair<std::size_t, std::shared_ptr<ReconstructionEngine>>>
-ReconstructionFabric::engines_snapshot() const {
+std::optional<std::uint64_t> ReconstructionFabric::route_and_submit(CompressedWindow& window,
+                                                                    bool blocking) {
+  // The shared lock is held across the engine call: a resize's table swap
+  // therefore happens-before or happens-after any submission, never in
+  // between routing and admission — an admitted window is always visible
+  // to the reshard's drain, and a retired shard can never receive one.  A
+  // blocking submit waiting out backpressure stalls a concurrent resize's
+  // swap; the shard's workers drain the backlog without any fabric lock,
+  // so both always make progress.
   std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-  std::vector<std::pair<std::size_t, std::shared_ptr<ReconstructionEngine>>> out;
+  const std::size_t shard = topology_.owner(window.patient_id);
+  const std::uint32_t epoch = topology_.epoch();
+  const std::uint32_t patient_id = window.patient_id;
+  window.route_tag = epoch;
+  ReconstructionEngine& engine = *active_[shard];
+  const auto local = blocking ? std::optional(engine.submit(std::move(window)))
+                              : engine.try_submit(std::move(window));
+  if (!local.has_value()) return std::nullopt;
+  topology_.note_patient(patient_id);
+  return Topology::compose_ticket(epoch, shard, *local);
+}
+
+std::vector<std::shared_ptr<ReconstructionEngine>> ReconstructionFabric::engines_snapshot()
+    const {
+  std::shared_lock<std::shared_mutex> lk(topology_mutex_);
+  std::vector<std::shared_ptr<ReconstructionEngine>> out;
   out.reserve(active_.size() + retired_.size());
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (active_[i]) out.emplace_back(i, active_[i]);  // Skip crash-failed holes.
+  for (const auto& engine : active_) {
+    if (engine) out.push_back(engine);  // Skip crash-failed holes.
   }
-  for (const auto& retired : retired_) out.emplace_back(retired.index, retired.engine);
+  out.insert(out.end(), retired_.begin(), retired_.end());
   return out;
 }
 
@@ -121,17 +107,14 @@ std::optional<WindowResult> ReconstructionFabric::poll() {
   // A resize's table swap simply waits out the sweep.
   std::shared_lock<std::shared_mutex> lk(topology_mutex_);
   const std::size_t total = active_.size() + retired_.size();
-  const auto engine_at = [&](std::size_t i) -> std::pair<std::size_t, ReconstructionEngine*> {
-    if (i < active_.size()) return {i, active_[i].get()};
-    const auto& retired = retired_[i - active_.size()];
-    return {retired.index, retired.engine.get()};
-  };
   const std::size_t start = next_poll_shard_.fetch_add(1, std::memory_order_relaxed) % total;
   for (std::size_t i = 0; i < total; ++i) {
-    const auto [index, engine] = engine_at((start + i) % total);
+    const std::size_t at = (start + i) % total;
+    ReconstructionEngine* engine =
+        at < active_.size() ? active_[at].get() : retired_[at - active_.size()].get();
     if (engine == nullptr) continue;  // Crash-failed hole: nothing to give.
     if (auto result = engine->poll()) {
-      result->ticket = compose_ticket(result->route_tag, index, result->ticket);
+      result->ticket = topology_.result_ticket(*result);
       return result;
     }
   }
@@ -140,13 +123,14 @@ std::optional<WindowResult> ReconstructionFabric::poll() {
 
 std::vector<WindowResult> ReconstructionFabric::drain() {
   std::vector<WindowResult> out;
-  for (const auto& [index, engine] : engines_snapshot()) {
+  for (const auto& engine : engines_snapshot()) {
     auto results = engine->drain();
-    out.reserve(out.size() + results.size());
-    for (auto& result : results) {
-      result.ticket = compose_ticket(result.route_tag, index, result.ticket);
-      out.push_back(std::move(result));
-    }
+    std::move(results.begin(), results.end(), std::back_inserter(out));
+  }
+  {
+    // A concurrent flip may append a ring; read them under the shared lock.
+    std::shared_lock<std::shared_mutex> lk(topology_mutex_);
+    for (auto& result : out) result.ticket = topology_.result_ticket(result);
   }
   // A full drain leaves retired shards with nothing left to give back.
   std::lock_guard<std::mutex> control(control_mutex_);
@@ -160,7 +144,7 @@ std::size_t ReconstructionFabric::in_flight() const {
   for (const auto& engine : active_) {
     if (engine) total += engine->in_flight();
   }
-  for (const auto& retired : retired_) total += retired.engine->in_flight();
+  for (const auto& engine : retired_) total += engine->in_flight();
   return total;
 }
 
@@ -169,20 +153,16 @@ ResizeReport ReconstructionFabric::resize(int new_shards) {
   ResizeReport report;
   const auto target = static_cast<std::size_t>(std::max(1, new_shards));
 
-  // Topology only changes under control_mutex_, so these reads are stable
+  // The table only changes under control_mutex_, so this copy is stable
   // for the whole resize even without the reader lock.
   std::vector<std::shared_ptr<ReconstructionEngine>> old_active;
-  HashRing old_ring;
   {
     std::shared_lock<std::shared_mutex> lk(topology_mutex_);
     old_active = active_;
-    old_ring = ring_;
   }
   const std::size_t before = old_active.size();
   report.shards_before = before;
   report.shards_after = target;
-
-  HashRing new_ring(target, static_cast<std::size_t>(cfg_.vnodes_per_shard));
 
   // New shard list: surviving engines keep their index (and their warm
   // caches), new indices get fresh engines, removed indices retire.  A
@@ -196,9 +176,9 @@ ResizeReport ReconstructionFabric::resize(int new_shards) {
                              ? old_active[i]
                              : std::make_shared<ReconstructionEngine>(cfg_.engine));
   }
-  std::vector<RetiredShard> newly_retired;
+  std::vector<std::shared_ptr<ReconstructionEngine>> newly_retired;
   for (std::size_t i = target; i < before; ++i) {
-    if (old_active[i]) newly_retired.push_back({i, old_active[i]});
+    if (old_active[i]) newly_retired.push_back(old_active[i]);
   }
   report.retired_shards = newly_retired.size();
 
@@ -206,41 +186,32 @@ ResizeReport ReconstructionFabric::resize(int new_shards) {
   // fully admitted under the old table (the submit paths hold the reader
   // lock across admission), every one after it routes and epoch-tags by
   // the new table.
+  std::uint32_t from = 0;
   {
     std::unique_lock<std::shared_mutex> lk(topology_mutex_);
-    ++epoch_;
-    ring_ = new_ring;
+    from = topology_.epoch();
+    report.epoch = topology_.resize(target);
     active_ = new_active;
-    retired_.insert(retired_.end(), std::make_move_iterator(newly_retired.begin()),
-                    std::make_move_iterator(newly_retired.end()));
-    report.epoch = epoch_;
+    retired_.insert(retired_.end(), newly_retired.begin(), newly_retired.end());
   }
 
   // Movers are computed after the flip, so the registry is guaranteed to
   // contain every patient admitted under the old epoch.  Patients first
   // seen after the flip route by the new ring already; scanning them too
   // is a harmless no-op (nothing pending, nothing to extract, on their
-  // old-ring shard).
-  std::vector<std::uint32_t> moved;
-  {
-    std::lock_guard<std::mutex> lk(patients_mutex_);
-    report.known_patients = patients_.size();
-    for (const std::uint32_t patient : patients_) {
-      if (old_ring.owner(patient) != new_ring.owner(patient)) moved.push_back(patient);
-    }
-  }
-  std::sort(moved.begin(), moved.end());  // Deterministic handoff order.
+  // old-ring shard).  A slot index is the shard's identity here.
+  const auto moved = topology_.movers(from);
+  report.known_patients = topology_.known_patients();
   report.moved_patients = moved.size();
 
   // Drain + handoff, outside every fabric lock: ingest to unmoved
   // patients continues at full rate while the movers' backlogs finish
   // where they started.
   for (const std::uint32_t patient : moved) {
-    const auto& source = old_active[old_ring.owner(patient)];
+    const auto& source = old_active[topology_.owner_at(from, patient)];
     source->drain_patient(patient);
     if (auto tracker = source->extract_patient_slo(patient)) {
-      const std::size_t destination = new_ring.owner(patient);
-      if (new_active[destination]->adopt_patient_slo(patient, std::move(tracker))) {
+      if (new_active[topology_.owner(patient)]->adopt_patient_slo(patient, std::move(tracker))) {
         ++report.slo_handoffs;
       }
     }
@@ -255,71 +226,43 @@ FailoverReport ReconstructionFabric::fail_shard(std::size_t index) {
   FailoverReport report;
   report.failed_shard = index;
 
-  std::vector<std::shared_ptr<ReconstructionEngine>> old_active;
-  HashRing old_ring;
-  {
-    std::shared_lock<std::shared_mutex> lk(topology_mutex_);
-    old_active = active_;
-    old_ring = ring_;
-  }
-  if (index >= old_active.size() || !old_active[index]) {
-    throw std::out_of_range("fail_shard: not a live shard");
-  }
-  std::vector<std::size_t> survivors;
-  for (std::size_t i = 0; i < old_active.size(); ++i) {
-    if (i != index && old_active[i]) survivors.push_back(i);
-  }
-  if (survivors.empty()) {
-    throw std::invalid_argument("fail_shard: no survivors to re-home onto");
-  }
-  report.live_shards = survivors.size();
-
-  // Subset ring over the survivors: vnode positions depend only on
-  // (shard, replica), so this is the old ring minus the dead shard's
-  // points — exactly its patients re-home, everyone else stays put, and
-  // every survivor keeps the index its tickets were composed with.
-  HashRing new_ring(survivors, static_cast<std::size_t>(cfg_.vnodes_per_shard));
-
-  // Flip, leaving a hole at the dead slot (indices are ticket identity).
-  // From here on nothing can reach the dead engine: no route resolves to
-  // it, and every sweep skips null slots — so submitted/shed/retrieved
-  // are frozen the moment the writer lock releases.
+  // Flip to the survivors' subset ring, leaving a hole at the dead slot
+  // (indices are ticket identity).  From here on nothing can reach the
+  // dead engine: no route resolves to it, and every sweep skips null
+  // slots — so submitted/shed/retrieved are frozen the moment the writer
+  // lock releases.
   std::shared_ptr<ReconstructionEngine> dead;
+  std::uint32_t from = 0;
   {
     std::unique_lock<std::shared_mutex> lk(topology_mutex_);
-    ++epoch_;
-    ring_ = new_ring;
-    dead = std::move(active_[index]);
-    report.epoch = epoch_;
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(patients_mutex_);
-    for (const std::uint32_t patient : patients_) {
-      if (old_ring.owner(patient) == index) ++report.moved_patients;
+    if (!topology_.live(index)) throw std::out_of_range("fail_shard: not a live shard");
+    from = topology_.epoch();
+    if (!topology_.fail(index)) {
+      throw std::invalid_argument("fail_shard: no survivors to re-home onto");
     }
+    dead = std::move(active_[index]);
+    report.epoch = topology_.epoch();
+    report.live_shards = topology_.live_count();
   }
+  report.moved_patients = topology_.movers(from).size();
 
   // Freeze-and-fold, the crash contract: results never retrieved are
-  // unrecoverable, so `retrieved` stands in for completed and the rest of
-  // the admitted windows are lost.  Workers may still be solving while
-  // this snapshot is read; that can only migrate windows between the shed
-  // and lost buckets (both terms of the same identity), never change the
-  // total — completed-but-unretrieved work is lost either way.
+  // unrecoverable.  Workers may still be solving while this snapshot is
+  // read; that can only migrate windows between the shed and lost
+  // buckets (both terms of the same identity), never change the total —
+  // completed-but-unretrieved work is lost either way.
   const SloSnapshot snap = dead->slo().snapshot();
   const std::uint64_t shed = snap.shed_routine + snap.shed_urgent;
-  const std::uint64_t retrieved =
-      snap.submitted - std::min(snap.submitted, shed + snap.in_flight);
-  report.lost_windows = snap.in_flight;
+  CrashLedger tally;
+  tally.submitted = snap.submitted;
+  tally.completed = snap.submitted - std::min(snap.submitted, shed + snap.in_flight);
+  tally.shed_routine = snap.shed_routine;
+  tally.shed_urgent = snap.shed_urgent;
+  tally.rejected = snap.rejected;
+  tally.deadline_violations = snap.deadline_violations;
   {
     std::unique_lock<std::shared_mutex> lk(topology_mutex_);
-    failed_.submitted += snap.submitted;
-    failed_.completed += retrieved;
-    failed_.shed_routine += snap.shed_routine;
-    failed_.shed_urgent += snap.shed_urgent;
-    failed_.rejected += snap.rejected;
-    failed_.deadline_violations += snap.deadline_violations;
-    failed_.lost += snap.in_flight;
+    report.lost_windows = topology_.fold_crash(tally);
   }
   // Destroy outside every lock: the destructor joins the workers and
   // abandons the backlog — the in-process equivalent of kill -9.  The
@@ -332,7 +275,7 @@ std::size_t ReconstructionFabric::reap_quiesced_locked() {
   std::unique_lock<std::shared_mutex> lk(topology_mutex_);
   std::size_t reaped = 0;
   for (auto it = retired_.begin(); it != retired_.end();) {
-    ReconstructionEngine& engine = *it->engine;
+    ReconstructionEngine& engine = **it;
     // Quiesced: nothing unsolved and nothing unretrieved.  No new work can
     // arrive (the shard left the routing table at its retirement flip), so
     // the counters are final; fold them into the reaped accumulators and
@@ -356,21 +299,22 @@ SloSnapshot ReconstructionFabric::slo_snapshot() const {
   for (const auto& engine : active_) {
     if (engine) merged.merge_from(engine->slo());
   }
-  for (const auto& retired : retired_) merged.merge_from(retired.engine->slo());
-  // reaped_slo_ and failed_ are only written under the exclusive topology
-  // lock, so the shared lock held here makes these reads safe.
+  for (const auto& engine : retired_) merged.merge_from(engine->slo());
+  // reaped_slo_ and the crash ledger are only written under the exclusive
+  // topology lock, so the shared lock held here makes these reads safe.
   merged.merge_from(reaped_slo_);
   SloSnapshot snap = merged.snapshot();
   // Crash-failed shards contribute raw counters, not a mergeable tracker:
   // their histograms died with them, their unretrieved windows are `lost`,
   // and their in-flight is zero by definition (nothing is coming back).
-  snap.submitted += failed_.submitted;
-  snap.completed += failed_.completed;
-  snap.shed_routine += failed_.shed_routine;
-  snap.shed_urgent += failed_.shed_urgent;
-  snap.rejected += failed_.rejected;
-  snap.deadline_violations += failed_.deadline_violations;
-  snap.lost = failed_.lost;
+  const CrashLedger& crashed = topology_.crashed();
+  snap.submitted += crashed.submitted;
+  snap.completed += crashed.completed;
+  snap.shed_routine += crashed.shed_routine;
+  snap.shed_urgent += crashed.shed_urgent;
+  snap.rejected += crashed.rejected;
+  snap.deadline_violations += crashed.deadline_violations;
+  snap.lost = crashed.lost;
   return snap;
 }
 
@@ -381,10 +325,11 @@ SloSnapshot ReconstructionFabric::lane_slo_snapshot(cs::WindowPriority priority)
   for (const auto& engine : active_) {
     if (engine) merged.merge_from(engine->lane_slo(priority));
   }
-  for (const auto& retired : retired_) merged.merge_from(retired.engine->lane_slo(priority));
+  for (const auto& engine : retired_) merged.merge_from(engine->lane_slo(priority));
   merged.merge_from(reaped_lane_slo_[lane]);
-  // No failed_ fold here: a dead shard's lane split below the shed/lost
-  // line is unknowable (see FailedCounters) — lane views cover survivors.
+  // No crash-ledger fold here: a dead shard's lane split below the
+  // shed/lost line is unknowable (see CrashLedger) — lane views cover
+  // survivors.
   return merged.snapshot();
 }
 
@@ -405,7 +350,7 @@ std::vector<ShardSlo> ReconstructionFabric::shard_slo_snapshots() const {
 
 std::vector<PatientSlo> ReconstructionFabric::patient_slo_snapshots() const {
   std::vector<PatientSlo> out;
-  for (const auto& [index, engine] : engines_snapshot()) {
+  for (const auto& engine : engines_snapshot()) {
     auto per_shard = engine->patient_slo_snapshots();
     out.insert(out.end(), std::make_move_iterator(per_shard.begin()),
                std::make_move_iterator(per_shard.end()));

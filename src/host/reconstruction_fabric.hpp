@@ -5,16 +5,17 @@
 //
 // One ReconstructionEngine owns one slice of the fleet; the fabric
 // partitions traffic across N such shards by a consistent-hash ring over
-// the stable splitmix64 patient hash (hash_ring.hpp), so a patient's
+// the stable splitmix64 patient hash, so a patient's
 // windows always land on the same shard (its matrix cache stays warm, its
 // per-patient SLO tracker lives in one place) and shards share nothing on
 // the hot path — no cross-shard lock, no global queue.  Each shard keeps
 // its own admission gate, priority lanes, shed policy, worker pool, and
 // SLO trackers; the fabric adds:
 //
-//   * ring routing (shard_of) that is independent of shard *state*, so
-//     adding monitoring or draining one shard never re-routes patients —
-//     and, through the ring, nearly independent of shard *count*;
+//   * routing through host::Topology (topology.hpp), the core the wire
+//     RoutingClient shares: shard_of is independent of shard *state* and,
+//     through the ring, nearly independent of shard *count*; tickets are
+//     the composite epoch | shard | local form, unique across resizes;
 //   * live elasticity: resize(new_shards) opens a new routing epoch.
 //     Only the patients whose ring ownership actually changed move
 //     (expected fraction ~1/N per single-shard step); each mover is
@@ -26,8 +27,6 @@
 //     fabric's reaped accumulators and the engine is destroyed.
 //   * fabric-wide submit/try_submit/poll/drain mirroring the engine API
 //     (poll sweeps shards round-robin so no shard's completions starve);
-//   * composite tickets — epoch | shard | shard-local ticket — unique
-//     fabric-wide across any sequence of resizes (see compose_ticket);
 //   * aggregate SLO snapshots: per-shard histograms are folded into one
 //     tracker (SloTracker::merge_from), so fabric-level p50/p95/p99 come
 //     from real merged histograms, not an average of quantiles; the same
@@ -71,11 +70,10 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
-#include "host/hash_ring.hpp"
 #include "host/reconstruction_engine.hpp"
+#include "host/topology.hpp"
 
 namespace wbsn::host {
 
@@ -137,13 +135,13 @@ class ReconstructionFabric {
   /// Active shards under the current epoch (retired shards excluded).
   std::size_t shard_count() const;
 
-  /// Routing epoch: starts at 0, incremented by every resize().
+  /// Routing epoch: starts at 0, incremented by every resize() and
+  /// fail_shard().
   std::uint32_t epoch() const;
 
-  /// The shard that owns `patient_id` under the current epoch's ring —
-  /// a pure function of (patient_id, shard count, vnodes_per_shard), so
-  /// tests and benches can assert routing stability against an
-  /// independently built HashRing.  Thread-safe.
+  /// The shard that owns `patient_id` under the current epoch's ring — a
+  /// pure function of the patient and the epoch's live slots, so tests can
+  /// check it against an independently built HashRing.  Thread-safe.
   std::size_t shard_of(std::uint32_t patient_id) const;
 
   /// The engine behind an active shard.  Throws std::out_of_range when
@@ -167,52 +165,21 @@ class ReconstructionFabric {
   ResizeReport resize(int new_shards);
 
   /// Simulates (or scripts — the chaos harness's crash lever) the abrupt
-  /// death of shard `index`: no drain, no SLO handoff, no retirement.
-  /// The routing table flips to a subset ring over the survivors — only
-  /// the dead shard's patients re-home, every survivor keeps its index —
-  /// and the engine is destroyed, abandoning its backlog and unretrieved
+  /// death of shard `index`: no drain, no SLO handoff, no retirement.  A
+  /// failover epoch (Topology::fail) re-homes only its patients, and the
+  /// engine is destroyed, abandoning its backlog and unretrieved
   /// completions exactly as a killed process would.  Its frozen counters
-  /// fold into the fabric's failed accumulators with every acknowledged
-  /// window accounted once: retrieved -> completed, shed -> shed, the
-  /// remainder -> `lost` (SloSnapshot::lost), so
+  /// fold into the topology's crash ledger — retrieved -> completed, shed
+  /// -> shed, the remainder -> `lost` (SloSnapshot::lost) — so
   /// submitted == completed + shed + lost + in_flight stays exact across
-  /// the crash.  The dead shard's latency histograms and per-patient
-  /// trackers die with it.  A later resize() may re-provision the slot
-  /// with a fresh engine.  Throws std::out_of_range when `index` is not a
-  /// live shard, std::invalid_argument when it is the last one standing.
+  /// the crash.  Its latency histograms and per-patient trackers die with
+  /// it.  A later resize() may re-provision the slot with a fresh engine.
+  /// Throws std::out_of_range when `index` is not a live shard,
+  /// std::invalid_argument when it is the last one standing.
   FailoverReport fail_shard(std::size_t index);
 
   /// Shards still serving (slots minus crash-failed holes).
   std::size_t live_shard_count() const;
-
-  // --- Composite tickets ---------------------------------------------------
-
-  /// Fabric tickets pack epoch | shard | shard-local ticket.  Local
-  /// tickets occupy the low 40 bits (34 years at 1k windows/s/shard), the
-  /// owning shard index the next 12 (4096 shards), and the submission
-  /// epoch the top 12.  Shard-local tickets are monotone over an engine's
-  /// lifetime and an engine is only ever created under a fresh epoch, so
-  /// the triple — and therefore the ticket — is unique across any
-  /// sequence of resizes until the epoch counter wraps at 4096.
-  static constexpr unsigned kLocalTicketBits = 40;
-  static constexpr unsigned kShardBits = 12;
-  static constexpr unsigned kEpochBits = 12;
-  static std::uint64_t compose_ticket(std::uint32_t epoch, std::size_t shard,
-                                      std::uint64_t local) {
-    return (static_cast<std::uint64_t>(epoch & ((1u << kEpochBits) - 1))
-            << (kLocalTicketBits + kShardBits)) |
-           (static_cast<std::uint64_t>(shard) << kLocalTicketBits) | local;
-  }
-  static std::uint32_t ticket_epoch(std::uint64_t ticket) {
-    return static_cast<std::uint32_t>(ticket >> (kLocalTicketBits + kShardBits)) &
-           ((1u << kEpochBits) - 1);
-  }
-  static std::size_t ticket_shard(std::uint64_t ticket) {
-    return static_cast<std::size_t>(ticket >> kLocalTicketBits) & ((1u << kShardBits) - 1);
-  }
-  static std::uint64_t ticket_local(std::uint64_t ticket) {
-    return ticket & ((std::uint64_t{1} << kLocalTicketBits) - 1);
-  }
 
   // --- Streaming interface (mirrors ReconstructionEngine) ------------------
 
@@ -271,23 +238,15 @@ class ReconstructionFabric {
   BatchResult reconstruct(std::span<const CompressedWindow> batch);
 
  private:
-  /// A shard removed by a shrink: out of the ring, still owed the results
-  /// parked in its completion list.
-  struct RetiredShard {
-    std::size_t index = 0;  ///< Shard index it served under (for tickets).
-    std::shared_ptr<ReconstructionEngine> engine;
-  };
+  /// Stable view of every engine currently holding work or results —
+  /// active shards first, then retired ones — copied under the reader
+  /// lock for callers that block for a long time (drain) or allocate
+  /// anyway (snapshots) and so must not hold it.
+  std::vector<std::shared_ptr<ReconstructionEngine>> engines_snapshot() const;
 
-  /// Stable (index, engine) view of every shard currently holding work or
-  /// results — active shards first, then retired ones — copied under the
-  /// reader lock for callers that block for a long time (drain) or
-  /// allocate anyway (snapshots) and so must not hold it.
-  std::vector<std::pair<std::size_t, std::shared_ptr<ReconstructionEngine>>> engines_snapshot()
-      const;
-
-  /// Records a successfully submitted patient in the registry that
-  /// resize() consults to find movers.
-  void note_patient(std::uint32_t patient_id);
+  /// submit() and try_submit(): routes, epoch-tags and admits the window
+  /// on its owner shard; nullopt only on non-blocking backpressure.
+  std::optional<std::uint64_t> route_and_submit(CompressedWindow& window, bool blocking);
 
   /// Destroys retired shards whose work is fully retrieved, folding their
   /// counters into the reaped accumulators first.  Caller must hold
@@ -296,17 +255,21 @@ class ReconstructionFabric {
 
   FabricConfig cfg_;
 
-  /// Guards the routing table: ring_, epoch_, active_, retired_.  Readers
-  /// (submit/poll/drain/snapshots) take it shared and copy the
-  /// shared_ptrs they need; resize() takes it exclusive only for the
-  /// table swap, never while draining or solving.
+  /// Guards the routing table: topology_'s epoch, rings and crash ledger,
+  /// active_, retired_.  Readers (submit/poll/drain/snapshots) take it
+  /// shared and copy the shared_ptrs they need; resize() and fail_shard()
+  /// take it exclusive only for the flip, never while draining or solving.
+  /// The patient registry inside topology_ locks itself.
   mutable std::shared_mutex topology_mutex_;
-  std::uint32_t epoch_ = 0;
-  HashRing ring_;
+  Topology topology_;
+  /// Engine per slot; a crash-failed slot is a null hole until a resize
+  /// re-provisions it.
   std::vector<std::shared_ptr<ReconstructionEngine>> active_;
-  std::vector<RetiredShard> retired_;
+  /// Removed by a shrink: out of the ring, still owed the results parked
+  /// in their completion lists.
+  std::vector<std::shared_ptr<ReconstructionEngine>> retired_;
 
-  /// Serializes resize() calls (and the reap sweeps they run).
+  /// Serializes resize() and fail_shard() (and the reap sweeps they run).
   std::mutex control_mutex_;
 
   /// Counters of reaped shards, folded in just before engine destruction
@@ -316,29 +279,6 @@ class ReconstructionFabric {
   /// under the exclusive topology lock; read under the shared lock.
   SloTracker reaped_slo_;
   SloTracker reaped_lane_slo_[cs::kPriorityLanes];
-
-  /// Counters frozen out of crash-failed shards (fail_shard), folded here
-  /// because a dead engine cannot be merged: its histograms are gone, and
-  /// its unretrieved windows must surface as `lost`, which no tracker
-  /// records.  Engine-wide only — a dead shard's lane split below the
-  /// shed/lost line is unknowable, matching the wire client.  Written only
-  /// under the exclusive topology lock; read under the shared lock.
-  struct FailedCounters {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;  ///< Retrieved before the crash.
-    std::uint64_t shed_routine = 0;
-    std::uint64_t shed_urgent = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t deadline_violations = 0;
-    std::uint64_t lost = 0;
-  };
-  FailedCounters failed_;
-
-  /// Every patient_id the fabric has successfully routed; resize() scans
-  /// it to find the patients whose ring ownership changed.  A few bytes
-  /// per patient for the fabric's lifetime.
-  mutable std::mutex patients_mutex_;
-  std::unordered_set<std::uint32_t> patients_;
 
   std::atomic<std::size_t> next_poll_shard_{0};
   std::mutex batch_mutex_;  ///< Serializes reconstruct() calls.

@@ -49,8 +49,8 @@ struct SloSnapshot {
   std::uint64_t max_in_flight = 0;  ///< High-water mark of in_flight.
   /// Windows destroyed by a shard crash: admitted, never retrieved, and
   /// unrecoverable (ReconstructionFabric::fail_shard).  No tracker records
-  /// this — a dead shard can't — so it is filled by the fabric's failed
-  /// accumulators in aggregate snapshots and stays 0 in every per-engine
+  /// this — a dead shard can't — so it is filled from the topology's crash
+  /// ledger in aggregate snapshots and stays 0 in every per-engine
   /// view.  Crash-proof conservation: submitted == completed + shed + lost
   /// + in_flight.
   std::uint64_t lost = 0;
@@ -59,7 +59,7 @@ struct SloSnapshot {
   /// grouping: grouped_windows / completed is the batching hit rate.
   std::uint64_t grouped_windows = 0;
   /// Windows completed at a degraded solve tier (cs::SolveTier::tier != 0)
-  /// — demoted by the engine's DegradePolicy, or submitted pre-degraded.
+  /// — demoted down the engine's degrade ladder, or submitted pre-degraded.
   /// The closed-loop observability hook: degraded_windows / completed is
   /// the fidelity-trade rate, and the urgent lane's count must stay 0
   /// (urgent windows always keep full fidelity).

@@ -4,8 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "host/reconstruction_fabric.hpp"
-
 namespace wbsn::net {
 
 namespace {
@@ -32,78 +30,50 @@ RoutingClient::~RoutingClient() { shutdown(false); }
 bool RoutingClient::connect(std::vector<ShardEndpoint> shards) {
   shutdown(false);
   conns_.clear();
-  epoch_ = 0;
-  ring_history_.clear();
-  patients_.clear();
+  topology_.reset();
   pending_.clear();
   retired_ = {};
   pipeline_submits_.clear();
   cr_hints_.clear();
   shard_advisory_.clear();
   hints_epoch_ = ~std::uint64_t{0};
+  if (shards.empty()) return false;
+  // All or nothing: a partly filled table would route into missing slots.
+  std::vector<std::unique_ptr<Conn>> conns;
   for (auto& ep : shards) {
     auto conn = std::make_unique<Conn>();
     conn->endpoint = std::move(ep);
-    conn->index = conns_.size();
+    conn->index = conns.size();
     if (!ensure_connected(*conn)) return false;
-    conns_.push_back(std::move(conn));
+    conns.push_back(std::move(conn));
   }
-  ring_history_.emplace_back(conns_.size(), cfg_.vnodes_per_shard);
+  conns_ = std::move(conns);
+  topology_.emplace(conns_.size(), cfg_.vnodes_per_shard);
   return true;
 }
 
-std::size_t RoutingClient::live_shard_count() const {
-  std::size_t live = 0;
-  for (const auto& conn : conns_) {
-    if (conn && !conn->failed) ++live;
-  }
-  return live;
-}
-
-bool RoutingClient::shard_failed(std::size_t shard) const {
-  return shard < conns_.size() && conns_[shard] && conns_[shard]->failed;
-}
-
 bool RoutingClient::fail_shard(std::size_t shard) {
-  if (shard >= conns_.size() || !conns_[shard] || conns_[shard]->failed) return false;
-  std::vector<std::size_t> survivors;
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (i != shard && conns_[i] && !conns_[i]->failed) survivors.push_back(i);
-  }
-  if (survivors.empty()) return false;  // Nowhere to re-home the patients.
+  if (!topology_ || !topology_->fail(shard)) return false;  // No handshake: the peer is gone.
   Conn& conn = *conns_[shard];
-  conn.fd.reset();
   // Unacked pipelined windows resolve to nullopt at the next
   // flush_submits() and are never retried: the dead shard may have
   // admitted them, and a resubmit elsewhere could double-count.
   fail_pipeline(conn);
-  conn.failed = true;
   // The dead shard cannot surrender a final snapshot; the client's own
-  // mirrors stand in.  Every acknowledged window is accounted exactly
-  // once: polled back in time -> completed, destroyed with the shard ->
-  // lost.  (Windows the shard shed before dying are indistinguishable
-  // from lost windows out here, and are counted lost.)  Its latency
-  // histograms and per-patient SLO history die with it.
-  SnapshotPayload final;
-  final.submitted = conn.acked_submits;
-  final.completed = conn.retrieved;
-  final.retrieved = conn.retrieved;
-  final.rejected = conn.rejected_seen;
-  final.lost =
-      conn.acked_submits >= conn.retrieved ? conn.acked_submits - conn.retrieved : 0;
-  accumulate(retired_, final);
-  // Failover epoch: a subset ring over the survivors, no drain/extract
-  // handshake (the peer is gone).  Virtual-node positions depend only on
-  // (shard, replica), so deleting the dead shard's points moves exactly
-  // its patients; every survivor keeps its index, which keeps composite
-  // tickets from every prior epoch composable.
-  ring_history_.emplace_back(survivors, cfg_.vnodes_per_shard);
-  ++epoch_;
+  // mirrors stand in.  (Windows the shard shed before dying are
+  // indistinguishable from lost windows out here, and are counted lost.)
+  // Its latency histograms and per-patient SLO history die with it.
+  host::CrashLedger tally;
+  tally.submitted = conn.acked_submits;
+  tally.completed = conn.retrieved;
+  tally.rejected = conn.rejected_seen;
+  topology_->fold_crash(tally);
+  conns_[shard].reset();  // Closes the socket; never reconnected.
   return true;
 }
 
 bool RoutingClient::probe_health(std::size_t shard) {
-  if (shard >= conns_.size() || !conns_[shard] || conns_[shard]->failed) return false;
+  if (shard >= conns_.size() || !conns_[shard]) return false;
   Conn& conn = *conns_[shard];
   if (!sync_pipeline(conn)) return false;
   std::vector<std::uint8_t> buf;
@@ -126,36 +96,28 @@ bool RoutingClient::probe_health(std::size_t shard) {
   const bool got_frame = read_frame(conn, frame, view);
   if (tighten && conn.fd.valid()) (void)set_recv_timeout(conn.fd.get(), cfg_.io_timeout_ms);
   if (!got_frame) return false;
+  bool answered = false;
   if (conn.version >= 2) {
     HealthAckPayload ack;
-    if (view.type != FrameType::kHealthAck || !decode_health_ack(view.payload, ack) ||
-        ack.nonce != nonce) {
-      conn.fd.reset();  // Wrong answer or a stale echo: desynchronized.
-      return false;
-    }
-    return true;
+    answered = view.type == FrameType::kHealthAck && decode_health_ack(view.payload, ack) &&
+               ack.nonce == nonce;
+  } else {
+    SnapshotPayload snap;
+    answered = view.type == FrameType::kSnapshot && decode_snapshot(view.payload, snap);
   }
-  SnapshotPayload snap;
-  if (view.type != FrameType::kSnapshot || !decode_snapshot(view.payload, snap)) {
-    conn.fd.reset();
-    return false;
-  }
-  return true;
+  if (!answered) conn.fd.reset();  // Wrong answer or a stale echo: desynchronized.
+  return answered;
 }
 
 std::vector<std::size_t> RoutingClient::check_health() {
   std::vector<std::size_t> dead;
   for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
-    if (!conns_[shard] || conns_[shard]->failed) continue;
+    if (!conns_[shard]) continue;
     if (probe_health(shard)) continue;
     dead.push_back(shard);
     if (cfg_.auto_failover) (void)fail_shard(shard);
   }
   return dead;
-}
-
-std::size_t RoutingClient::owner(std::uint32_t patient_id) const {
-  return ring_history_[epoch_].owner(patient_id);
 }
 
 bool RoutingClient::ensure_connected(Conn& conn) {
@@ -182,7 +144,6 @@ int RoutingClient::backoff_delay_ms(int attempt, int base_ms, int max_ms,
 }
 
 bool RoutingClient::reconnect(Conn& conn) {
-  if (conn.failed) return false;  // Declared dead: never resurrected.
   conn.fd.reset();
   conn.rx.clear();
   // Pipelined submits whose ACK was outstanding on the dead connection
@@ -303,8 +264,8 @@ bool RoutingClient::harvest_ack(Conn& conn) {
     record.resolved = true;
     if (entry.accepted) {
       ++conn.acked_submits;
-      record.ticket = host::ReconstructionFabric::compose_ticket(record.epoch, record.shard,
-                                                                 entry.local_ticket);
+      record.ticket = host::Topology::compose_ticket(record.epoch, record.shard,
+                                                     entry.local_ticket);
     } else {
       ++conn.rejected_seen;
     }
@@ -365,14 +326,15 @@ bool RoutingClient::sync_pipeline(Conn& conn) {
 }
 
 bool RoutingClient::submit_pipelined(host::CompressedWindow&& window) {
-  for (std::size_t hop = 0; hop <= conns_.size(); ++hop) {
-    const std::size_t shard = owner(window.patient_id);
+  for (std::size_t hop = 0; topology_ && hop <= conns_.size(); ++hop) {
+    const std::uint32_t epoch = topology_->epoch();
+    const std::size_t shard = topology_->owner(window.patient_id);
     Conn& conn = *conns_[shard];
     if (conn.version < 2 || cfg_.pipeline_depth == 0) {
       // v1 shard (or pipelining off): same blocking-admission semantics,
       // one round trip per window — the transparent fallback path.
-      auto ticket = submit(std::move(window));
-      pipeline_submits_.push_back({epoch_, shard, true, ticket});
+      auto ticket = submit_window(window, /*blocking=*/true);
+      pipeline_submits_.push_back({epoch, shard, true, ticket});
       return ticket.has_value();
     }
     if (!ensure_connected(conn)) {
@@ -380,19 +342,21 @@ bool RoutingClient::submit_pipelined(host::CompressedWindow&& window) {
       // staged), so after a failover it re-routes loss-free; staged or
       // on-the-wire windows stay failed per the no-resubmit rule.
       if (cfg_.auto_failover && fail_shard(shard)) continue;
-      pipeline_submits_.push_back({epoch_, shard, true, std::nullopt});
+      pipeline_submits_.push_back({epoch, shard, true, std::nullopt});
       return false;
     }
-    window.route_tag = epoch_;
-    patients_.insert(window.patient_id);
+    window.route_tag = epoch;
+    topology_->note_patient(window.patient_id);
     encode_submit_batch_entry(conn.staged_bodies, window, cfg_.wire);
     if (cfg_.payload_pool) cfg_.payload_pool->recycle(std::move(window));
     ++conn.staged_count;
     conn.pending_submits.push_back(pipeline_submits_.size());
-    pipeline_submits_.push_back({epoch_, shard, false, std::nullopt});
+    pipeline_submits_.push_back({epoch, shard, false, std::nullopt});
     if (conn.staged_count >= cfg_.submit_batch_windows) return seal_batch(conn);
     return true;
   }
+  // No topology open: still one (failed) entry for this call.
+  if (!topology_) pipeline_submits_.push_back({0, 0, true, std::nullopt});
   return false;
 }
 
@@ -410,19 +374,29 @@ std::vector<std::optional<std::uint64_t>> RoutingClient::flush_submits() {
 }
 
 std::uint8_t RoutingClient::shard_wire_version(std::size_t shard) const {
-  return conns_[shard]->version;
+  return shard < conns_.size() && conns_[shard] ? conns_[shard]->version : 0;
 }
 
 std::optional<std::uint64_t> RoutingClient::try_submit(host::CompressedWindow&& window) {
+  return submit_window(window, /*blocking=*/false);
+}
+
+std::optional<std::uint64_t> RoutingClient::submit(host::CompressedWindow window) {
+  return submit_window(window, /*blocking=*/true);
+}
+
+std::optional<std::uint64_t> RoutingClient::submit_window(host::CompressedWindow& window,
+                                                          bool blocking) {
   // The loop re-routes after a failover (at most once per shard that can
-  // die); without auto_failover it runs exactly one iteration, as before.
-  for (std::size_t hop = 0; hop <= conns_.size(); ++hop) {
-    const std::size_t shard = owner(window.patient_id);
+  // die); without auto_failover it runs exactly one iteration.
+  for (std::size_t hop = 0; topology_ && hop <= conns_.size(); ++hop) {
+    const std::uint32_t epoch = topology_->epoch();
+    const std::size_t shard = topology_->owner(window.patient_id);
     Conn& conn = *conns_[shard];
     (void)sync_pipeline(conn);  // Responses are per-connection ordered.
-    window.route_tag = epoch_;
+    window.route_tag = epoch;
     std::vector<std::uint8_t> buf;
-    encode_submit_window(buf, window, 0, cfg_.wire);
+    encode_submit_window(buf, window, blocking ? kSubmitFlagBlocking : 0, cfg_.wire);
     std::vector<std::uint8_t> frame;
     FrameView view;
     if (send_request(conn, buf, /*may_retry=*/false) && read_frame(conn, frame, view)) {
@@ -433,9 +407,9 @@ std::optional<std::uint64_t> RoutingClient::try_submit(host::CompressedWindow&& 
       std::uint64_t local = 0;
       if (view.type == FrameType::kSubmitAck && decode_submit_ack(view.payload, local)) {
         ++conn.acked_submits;
-        patients_.insert(window.patient_id);
+        topology_->note_patient(window.patient_id);
         if (cfg_.payload_pool) cfg_.payload_pool->recycle(std::move(window));
-        return host::ReconstructionFabric::compose_ticket(epoch_, shard, local);
+        return host::Topology::compose_ticket(epoch, shard, local);
       }
     }
     conn.fd.reset();
@@ -447,43 +421,13 @@ std::optional<std::uint64_t> RoutingClient::try_submit(host::CompressedWindow&& 
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> RoutingClient::submit(host::CompressedWindow window) {
-  for (std::size_t hop = 0; hop <= conns_.size(); ++hop) {
-    const std::size_t shard = owner(window.patient_id);
-    Conn& conn = *conns_[shard];
-    (void)sync_pipeline(conn);  // Responses are per-connection ordered.
-    window.route_tag = epoch_;
-    std::vector<std::uint8_t> buf;
-    encode_submit_window(buf, window, kSubmitFlagBlocking, cfg_.wire);
-    std::vector<std::uint8_t> frame;
-    FrameView view;
-    std::uint64_t local = 0;
-    if (send_request(conn, buf, /*may_retry=*/false) && read_frame(conn, frame, view) &&
-        view.type == FrameType::kSubmitAck && decode_submit_ack(view.payload, local)) {
-      ++conn.acked_submits;
-      patients_.insert(window.patient_id);
-      if (cfg_.payload_pool) cfg_.payload_pool->recycle(std::move(window));
-      return host::ReconstructionFabric::compose_ticket(epoch_, shard, local);
-    }
-    conn.fd.reset();
-    // See try_submit: an unacked window is unmirrored, so the re-route
-    // after failover is double-count-free by construction.
-    if (!cfg_.auto_failover || !fail_shard(shard)) return std::nullopt;
-  }
-  return std::nullopt;
+void RoutingClient::accept_result(Conn& conn, host::WindowResult&& result) {
+  result.ticket = topology_->result_ticket(result);
+  pending_.push_back(std::move(result));
+  ++conn.retrieved;
 }
 
-std::uint64_t RoutingClient::compose_result_ticket(const host::WindowResult& result) {
-  // route_tag carries the submission epoch; that epoch's ring names the
-  // shard index the window was actually submitted to, even if the shard's
-  // index (or existence) changed since.
-  const std::uint32_t e = result.route_tag;
-  const std::size_t shard =
-      e < ring_history_.size() ? ring_history_[e].owner(result.patient_id) : 0;
-  return host::ReconstructionFabric::compose_ticket(e, shard, result.ticket);
-}
-
-bool RoutingClient::read_poll_results(Conn& conn, std::size_t* retrieved) {
+bool RoutingClient::read_poll_results(Conn& conn) {
   for (;;) {
     std::vector<std::uint8_t> frame;
     FrameView view;
@@ -501,14 +445,11 @@ bool RoutingClient::read_poll_results(Conn& conn, std::size_t* retrieved) {
       conn.fd.reset();
       return false;
     }
-    result.ticket = compose_result_ticket(result);
-    pending_.push_back(std::move(result));
-    ++conn.retrieved;
-    if (retrieved) ++*retrieved;
+    accept_result(conn, std::move(result));
   }
 }
 
-bool RoutingClient::sweep_shard(Conn& conn, std::size_t* retrieved) {
+bool RoutingClient::sweep_shard(Conn& conn) {
   (void)sync_pipeline(conn);
   std::vector<std::uint8_t> buf;
   if (conn.version >= 2) {
@@ -523,27 +464,23 @@ bool RoutingClient::sweep_shard(Conn& conn, std::size_t* retrieved) {
       conn.fd.reset();
       return false;
     }
-    for (auto& result : results) {
-      result.ticket = compose_result_ticket(result);
-      pending_.push_back(std::move(result));
-      ++conn.retrieved;
-      if (retrieved) ++*retrieved;
-    }
+    for (auto& result : results) accept_result(conn, std::move(result));
     return true;
   }
   encode_poll(buf, cfg_.poll_batch);
   if (!send_request(conn, buf, /*may_retry=*/true)) return false;
-  return read_poll_results(conn, retrieved);
+  return read_poll_results(conn);
+}
+
+void RoutingClient::sweep_all() {
+  for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
+    if (!conns_[shard]) continue;
+    if (!sweep_shard(*conns_[shard]) && cfg_.auto_failover) (void)fail_shard(shard);
+  }
 }
 
 std::optional<host::WindowResult> RoutingClient::poll() {
-  if (pending_.empty()) {
-    for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
-      Conn& conn = *conns_[shard];
-      if (conn.failed) continue;
-      if (!sweep_shard(conn, nullptr) && cfg_.auto_failover) (void)fail_shard(shard);
-    }
-  }
+  if (pending_.empty()) sweep_all();
   if (pending_.empty()) return std::nullopt;
   auto result = std::move(pending_.front());
   pending_.pop_front();
@@ -554,21 +491,16 @@ std::vector<host::WindowResult> RoutingClient::drain() {
   std::vector<host::WindowResult> all;
   for (;;) {
     // Sweep every live shard, then check fleet-wide quiescence.
-    for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
-      Conn& conn = *conns_[shard];
-      if (conn.failed) continue;
-      if (!sweep_shard(conn, nullptr) && cfg_.auto_failover) (void)fail_shard(shard);
-    }
+    sweep_all();
     while (!pending_.empty()) {
       all.push_back(std::move(pending_.front()));
       pending_.pop_front();
     }
     bool quiesced = true;
     for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
-      Conn& conn = *conns_[shard];
-      if (conn.failed) continue;
+      if (!conns_[shard]) continue;
       SnapshotPayload snap;
-      if (!fetch_snapshot(conn, snap)) {
+      if (!fetch_snapshot(*conns_[shard], snap)) {
         if (cfg_.auto_failover) (void)fail_shard(shard);
         continue;  // Unreachable: nothing left to wait on there.
       }
@@ -594,12 +526,20 @@ bool RoutingClient::fetch_snapshot(Conn& conn, SnapshotPayload& out) {
 }
 
 SnapshotPayload RoutingClient::aggregate_snapshot() {
-  // retired_ carries both orderly retirements (their exact final
-  // snapshots) and crash failovers (the client-side mirrors, with the
-  // unpollable remainder under .lost).
+  // retired_ carries orderly retirements (their exact final snapshots);
+  // the topology's crash ledger carries failovers (the client-side
+  // mirrors, with the unpollable remainder under .lost).
   SnapshotPayload sum = retired_;
+  if (topology_) {
+    const host::CrashLedger& crashed = topology_->crashed();
+    sum.submitted += crashed.submitted;
+    sum.completed += crashed.completed;
+    sum.retrieved += crashed.completed;
+    sum.rejected += crashed.rejected;
+    sum.lost += crashed.lost;
+  }
   for (auto& conn : conns_) {
-    if (conn->failed) continue;
+    if (!conn) continue;
     SnapshotPayload snap;
     if (fetch_snapshot(*conn, snap)) accumulate(sum, snap);
   }
@@ -609,16 +549,17 @@ SnapshotPayload RoutingClient::aggregate_snapshot() {
 bool RoutingClient::refresh_cr_hints(std::uint32_t max_entries_per_shard) {
   cr_hints_.clear();
   shard_advisory_.assign(conns_.size(), 0.0);
-  hints_epoch_ = epoch_;
+  const std::uint32_t epoch = this->epoch();
+  hints_epoch_ = epoch;
   bool ok = true;
   for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
+    if (!conns_[shard]) continue;
     Conn& conn = *conns_[shard];
-    if (conn.failed) continue;
     // v1 shards don't speak the verb; no hint just means full fidelity.
     if (conn.version < 2) continue;
     (void)sync_pipeline(conn);  // Responses are per-connection ordered.
     std::vector<std::uint8_t> buf;
-    encode_cr_hint(buf, epoch_, max_entries_per_shard);
+    encode_cr_hint(buf, epoch, max_entries_per_shard);
     if (!send_request(conn, buf, /*may_retry=*/true)) {
       ok = false;
       continue;
@@ -632,7 +573,7 @@ bool RoutingClient::refresh_cr_hints(std::uint32_t max_entries_per_shard) {
       ok = false;
       continue;
     }
-    if (ack.epoch != epoch_) {
+    if (ack.epoch != epoch) {
       // Answered for an epoch we no longer route by: drop it rather than
       // risk steering a node through the wrong owner.
       ok = false;
@@ -647,7 +588,7 @@ bool RoutingClient::refresh_cr_hints(std::uint32_t max_entries_per_shard) {
 }
 
 std::optional<double> RoutingClient::cr_hint(std::uint32_t patient_id) const {
-  if (conns_.empty() || hints_epoch_ != epoch_) return std::nullopt;
+  if (!topology_ || hints_epoch_ != topology_->epoch()) return std::nullopt;
   if (auto it = cr_hints_.find(patient_id);
       it != cr_hints_.end() && it->second > 0.0) {
     return it->second;
@@ -659,62 +600,51 @@ std::optional<double> RoutingClient::cr_hint(std::uint32_t patient_id) const {
 
 std::optional<host::SloTrackerState> RoutingClient::patient_slo_state(
     std::uint32_t patient_id) {
-  Conn& conn = *conns_[owner(patient_id)];
+  if (!topology_) return std::nullopt;
+  Conn& conn = *conns_[topology_->owner(patient_id)];
   (void)sync_pipeline(conn);
-  std::vector<std::uint8_t> buf;
-  encode_patient_frame(buf, FrameType::kExtractSlo, patient_id);
-  if (!send_request(conn, buf, /*may_retry=*/false)) return std::nullopt;
-  std::vector<std::uint8_t> frame;
-  FrameView view;
-  SloStatePayload slo;
-  if (!read_frame(conn, frame, view) || view.type != FrameType::kSloState ||
-      !decode_slo_state(view.payload, slo)) {
-    return std::nullopt;
-  }
   // Hand the history straight back so the shard's breakdown keeps it; the
   // caller gets a copy.
-  buf.clear();
-  encode_slo_state(buf, FrameType::kAdoptSlo, slo);
-  if (send_request(conn, buf, /*may_retry=*/false)) {
-    bool adopted = false;
-    if (read_frame(conn, frame, view) && view.type == FrameType::kAdoptAck) {
-      (void)decode_adopt_ack(view.payload, adopted);
-    }
-  }
-  return slo.present ? std::optional(slo.state) : std::nullopt;
+  const auto slo = move_slo(patient_id, conn, conn);
+  return slo && slo->present ? std::optional(slo->state) : std::nullopt;
 }
 
 bool RoutingClient::drain_and_move_patient(std::uint32_t patient_id, Conn& from, Conn& to) {
+  // Quiesce the patient on the old owner (the epoch already flipped, so no
+  // new windows can race in behind the drain), then move its SLO history.
   std::vector<std::uint8_t> buf;
-  std::vector<std::uint8_t> frame;
-  FrameView view;
-
-  // 1. Quiesce the patient on the old owner (the epoch already flipped, so
-  //    no new windows can race in behind the drain).
   encode_patient_frame(buf, FrameType::kDrainPatient, patient_id);
   if (!send_request(from, buf, /*may_retry=*/false)) return false;
+  std::vector<std::uint8_t> frame;
+  FrameView view;
   std::uint32_t echoed = 0;
-  if (!read_frame(from, frame, view) || view.type != FrameType::kDrainDone ||
-      !decode_patient_frame(view.payload, echoed) || echoed != patient_id) {
-    return false;
-  }
+  return read_frame(from, frame, view) && view.type == FrameType::kDrainDone &&
+         decode_patient_frame(view.payload, echoed) && echoed == patient_id &&
+         move_slo(patient_id, from, to).has_value();
+}
 
-  // 2. Move the SLO history: extract (exchange(0) server-side) and adopt.
-  buf.clear();
+std::optional<SloStatePayload> RoutingClient::move_slo(std::uint32_t patient_id, Conn& from,
+                                                       Conn& to) {
+  // EXTRACT_SLO is an exchange(0) on `from`; ADOPT_SLO folds it into `to`.
+  std::vector<std::uint8_t> buf;
   encode_patient_frame(buf, FrameType::kExtractSlo, patient_id);
-  if (!send_request(from, buf, /*may_retry=*/false)) return false;
+  if (!send_request(from, buf, /*may_retry=*/false)) return std::nullopt;
+  std::vector<std::uint8_t> frame;
+  FrameView view;
   SloStatePayload slo;
   if (!read_frame(from, frame, view) || view.type != FrameType::kSloState ||
       !decode_slo_state(view.payload, slo)) {
-    return false;
+    return std::nullopt;
   }
-  if (!slo.present) return true;  // Never tracked: nothing to carry over.
+  if (!slo.present) return slo;  // Never tracked: nothing to carry over.
   buf.clear();
   encode_slo_state(buf, FrameType::kAdoptSlo, slo);
-  if (!send_request(to, buf, /*may_retry=*/false)) return false;
   bool adopted = false;
-  return read_frame(to, frame, view) && view.type == FrameType::kAdoptAck &&
-         decode_adopt_ack(view.payload, adopted);
+  if (!send_request(to, buf, /*may_retry=*/false) || !read_frame(to, frame, view) ||
+      view.type != FrameType::kAdoptAck || !decode_adopt_ack(view.payload, adopted)) {
+    return std::nullopt;
+  }
+  return slo;
 }
 
 bool RoutingClient::retire(Conn& conn) {
@@ -732,7 +662,7 @@ bool RoutingClient::retire(Conn& conn) {
     buf.clear();
     encode_poll(buf, cfg_.poll_batch);
     if (!send_request(conn, buf, /*may_retry=*/false)) return false;
-    if (!read_poll_results(conn, nullptr)) return false;
+    if (!read_poll_results(conn)) return false;
   }
   buf.clear();
   encode_bye(buf);
@@ -746,12 +676,12 @@ bool RoutingClient::retire(Conn& conn) {
 }
 
 bool RoutingClient::set_topology(std::vector<ShardEndpoint> shards) {
+  if (!topology_ || shards.empty()) return false;
   // Outstanding pipelined submits belong to the closing epoch: settle
   // every ACK before the flip so their tickets compose against it.
   for (auto& conn : conns_) {
     if (conn) (void)sync_pipeline(*conn);
   }
-  const host::HashRing old_ring = ring_history_[epoch_];
   // The previous epoch's index -> connection table, captured before the
   // container shuffle below (the Conn objects themselves don't move, so
   // raw pointers stay valid while unique_ptrs change vectors).
@@ -759,32 +689,33 @@ bool RoutingClient::set_topology(std::vector<ShardEndpoint> shards) {
   old_table.reserve(conns_.size());
   for (auto& c : conns_) old_table.push_back(c.get());
 
-  // Build the next epoch's connection table, reusing live connections for
-  // endpoints that survive (matched by host:port) so their engines keep
-  // their backlogs and completion lists.  A *failed* slot never matches:
-  // if a crashed shard's endpoint reappears (daemon restarted), it is a
-  // brand-new shard with a fresh connection and clean mirrors — its
-  // predecessor's losses are already folded into retired_.
-  std::vector<std::unique_ptr<Conn>> next;
-  next.reserve(shards.size());
-  for (auto& ep : shards) {
+  // Surviving endpoints (matched by host:port) keep their connections, so
+  // their engines keep their backlogs.  A failed slot is a null hole and
+  // never matches: a restarted crashed endpoint is a brand-new shard.  New
+  // endpoints connect before anything moves, so an unreachable one leaves
+  // the topology untouched.
+  std::vector<std::unique_ptr<Conn>> next(shards.size());
+  std::vector<std::unique_ptr<Conn>*> kept(shards.size(), nullptr);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
     auto it = std::find_if(conns_.begin(), conns_.end(), [&](const auto& c) {
-      return c && !c->failed && c->endpoint == ep;
+      return c && c->endpoint == shards[i] && std::find(kept.begin(), kept.end(), &c) == kept.end();
     });
     if (it != conns_.end()) {
-      next.push_back(std::move(*it));
-    } else {
-      auto conn = std::make_unique<Conn>();
-      conn->endpoint = std::move(ep);
-      if (!ensure_connected(*conn)) return false;
-      next.push_back(std::move(conn));
+      kept[i] = &*it;
+      continue;
     }
+    next[i] = std::make_unique<Conn>();
+    next[i]->endpoint = shards[i];
+    if (!ensure_connected(*next[i])) return false;
+  }
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (kept[i]) next[i] = std::move(*kept[i]);
   }
   // Failed slots are dropped silently (already fully accounted); only
   // live leavers go through the synchronous retirement protocol.
   std::vector<std::unique_ptr<Conn>> leaving;
   for (auto& c : conns_) {
-    if (c && !c->failed) leaving.push_back(std::move(c));
+    if (c) leaving.push_back(std::move(c));
   }
 
   // Flip the routing epoch first — same ordering as the in-process
@@ -793,18 +724,19 @@ bool RoutingClient::set_topology(std::vector<ShardEndpoint> shards) {
   // route is decided by exactly one epoch.
   conns_ = std::move(next);
   for (std::size_t i = 0; i < conns_.size(); ++i) conns_[i]->index = i;
-  ring_history_.emplace_back(conns_.size(), cfg_.vnodes_per_shard);
-  ++epoch_;
+  const std::uint32_t from = topology_->epoch();
+  topology_->resize(conns_.size());
 
   // Migrate every patient whose owning *endpoint* changed: quiesce it on
   // the old owner, then move its SLO history.  An index shift that keeps
   // the endpoint needs no migration — the connection is the identity.
   bool ok = true;
-  for (std::uint32_t patient : patients_) {
-    Conn* from = old_table[old_ring.owner(patient)];
-    Conn* to = conns_[owner(patient)].get();
-    if (from == to) continue;
-    if (!drain_and_move_patient(patient, *from, *to)) ok = false;
+  const auto moved = topology_->movers(from, [&](std::size_t old_slot, std::size_t new_slot) {
+    return old_table[old_slot] == conns_[new_slot].get();
+  });
+  for (const std::uint32_t patient : moved) {
+    Conn& source = *old_table[topology_->owner_at(from, patient)];
+    if (!drain_and_move_patient(patient, source, *conns_[topology_->owner(patient)])) ok = false;
   }
   // Leaving shards are now empty of routed patients: pull their parked
   // results, fold their counters, dismiss them.

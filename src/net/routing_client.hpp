@@ -5,23 +5,19 @@
 // surface as host::ReconstructionFabric, with the same placement
 // guarantees proven for the in-process fabric (PR 5):
 //
-//   * Patients are routed by the same consistent-hash ring
-//     (host::HashRing) the in-process fabric uses — the ring is rebuilt
-//     locally from (shard_count, vnodes_per_shard), so client and any
-//     audit tool agree on placement without a metadata service.
-//   * set_topology() opens a new routing epoch, exactly like
-//     ReconstructionFabric::resize(): the ring/endpoint list flips first
-//     (no new submission routes to a leaving shard), then every moved
-//     patient is drained on its old shard (DRAIN_PATIENT), its SLO
-//     history extracted (EXTRACT_SLO) and adopted by the new owner
-//     (ADOPT_SLO) — counts conserved end to end because extract_state()
-//     is an exchange(0) on every counter.
-//   * Tickets are the fabric's composite epoch | shard | local form
-//     (ReconstructionFabric::compose_ticket).  The submission epoch rides
-//     in CompressedWindow::route_tag and comes back in the result, and the
-//     client keeps the ring of every epoch it has opened, so a result
-//     polled after any number of reshards still composes the exact ticket
-//     its submit() returned.
+//   * Every routing decision — ring, epochs, tickets, movers, the
+//     failover flip, the crash fold — comes from host::Topology, the
+//     same core the in-process fabric uses.  The ring is rebuilt locally
+//     from (shard_count, vnodes_per_shard), so client and any audit tool
+//     agree on placement without a metadata service.
+//   * set_topology() is ReconstructionFabric::resize() over sockets: the
+//     epoch flips first, then every mover is drained on its old shard
+//     (DRAIN_PATIENT) and its SLO history moves (EXTRACT_SLO, ADOPT_SLO;
+//     extract_state() is an exchange(0), so counts are conserved).
+//   * Tickets are the composite epoch | shard | local form.  The
+//     submission epoch rides in CompressedWindow::route_tag and comes
+//     back in the result, whose ticket composes against that epoch's ring
+//     — the exact ticket its submit() returned, after any reshards.
 //   * Shards leaving the topology are retired synchronously: their
 //     remaining results are polled out, their final counter snapshot is
 //     folded into the client's retired accumulator (so
@@ -32,13 +28,9 @@
 //   * Shards that *crash* can't be retired — they will never answer the
 //     drain/extract handshake.  fail_shard() (manual, or automatic under
 //     cfg.auto_failover when I/O or a health probe fails) opens a
-//     failover epoch instead: the ring flips to a subset ring over the
-//     survivors, the dead shard's patients re-home, and the client's own
-//     per-shard submit/poll mirrors replace the unavailable final
-//     snapshot — windows acknowledged but never polled back land in the
-//     explicit `lost` counter, so the audit identity becomes
-//     submitted == completed + shed + rejected + lost and stays conserved
-//     across crashes.
+//     failover epoch instead, and the client's own submit/poll mirrors
+//     replace the unavailable final snapshot, so the audit identity
+//     submitted == completed + shed + rejected + lost holds across crashes.
 //   * Pipelined submits (v2 shards, pipeline_depth > 0): submit_pipelined
 //     stages windows into per-shard SUBMIT_BATCH frames (one frame per
 //     submit_batch_windows windows, sealed scatter-gather — prefix, the
@@ -67,11 +59,10 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "host/hash_ring.hpp"
 #include "host/reconstruction_engine.hpp"
+#include "host/topology.hpp"
 #include "net/socket.hpp"
 #include "net/wire_format.hpp"
 
@@ -145,43 +136,51 @@ class RoutingClient {
   RoutingClient& operator=(const RoutingClient&) = delete;
 
   /// Connects and version-negotiates with every endpoint; epoch 0 opens on
-  /// success.  False when any endpoint stays unreachable after retries.
+  /// success.  All or nothing: false — with no topology open and no
+  /// connection kept — when the list is empty or any endpoint stays
+  /// unreachable after retries.  Until a connect succeeds, every submit
+  /// and patient_slo_state call fails instead of routing.
   bool connect(std::vector<ShardEndpoint> shards);
 
   /// Topology slots, failed ones included — index identity is what keeps
   /// composite tickets stable across failovers.
   std::size_t shard_count() const { return conns_.size(); }
-  std::size_t live_shard_count() const;
-  bool shard_failed(std::size_t shard) const;
-  std::uint32_t epoch() const { return epoch_; }
+  std::size_t live_shard_count() const { return topology_ ? topology_->live_count() : 0; }
+  bool shard_failed(std::size_t shard) const { return shard < conns_.size() && !conns_[shard]; }
+  std::uint32_t epoch() const { return topology_ ? topology_->epoch() : 0; }
 
-  /// The shard index that owns `patient_id` under the current epoch.
-  std::size_t owner(std::uint32_t patient_id) const;
+  /// The shard index that owns `patient_id` under the current epoch (0
+  /// while no topology is open).
+  std::size_t owner(std::uint32_t patient_id) const {
+    return topology_ ? topology_->owner(patient_id) : 0;
+  }
 
   /// Reshards to a new endpoint set under a fresh epoch (see file
   /// comment).  Endpoints are matched by host:port, so surviving shards
   /// keep their connections (and their engines keep their backlogs) even
-  /// when their index shifts.  False when a new endpoint is unreachable
-  /// or a migration verb fails; the epoch flip is not rolled back —
+  /// when their index shifts.  False when no topology is open, the list
+  /// is empty, or a new endpoint is unreachable (nothing changes), or
+  /// when a migration verb fails; that epoch flip is not rolled back —
   /// resolve connectivity and call again.
   bool set_topology(std::vector<ShardEndpoint> shards);
 
   /// Routes one window to its owner shard.  Returns the composite ticket,
-  /// or nullopt on shard backpressure (SUBMIT_REJECT) or a dead shard.
-  /// `window` is untouched on rejection.
+  /// or nullopt on shard backpressure (SUBMIT_REJECT), a dead shard, or no
+  /// open topology.  `window` keeps its payload on rejection.
   std::optional<std::uint64_t> try_submit(host::CompressedWindow&& window);
 
   /// Blocking submit: the shard waits out its backpressure server-side
   /// (never sheds, never counts a rejection).  nullopt only on a dead
-  /// connection.
+  /// connection or no open topology.
   std::optional<std::uint64_t> submit(host::CompressedWindow window);
 
   /// Pipelined submit (see file comment): stages the window toward its
   /// owner shard and returns immediately — the ticket arrives with the
   /// batch ACK and is surfaced by the next flush_submits().  Blocking
   /// admission semantics on the shard (never sheds, never counts a
-  /// rejection), like submit().  False only on a dead connection (the
-  /// window is then dropped, consistent with the no-retry SUBMIT rule).
+  /// rejection), like submit().  False only on a dead connection or no
+  /// open topology (the window is then dropped, consistent with the
+  /// no-retry SUBMIT rule).
   bool submit_pipelined(host::CompressedWindow&& window);
 
   /// Seals every staged batch, harvests every outstanding ACK, and
@@ -191,7 +190,8 @@ class RoutingClient {
   /// windows are NOT retried — a retry could double-submit).
   std::vector<std::optional<std::uint64_t>> flush_submits();
 
-  /// Wire version negotiated with shard `shard` (1 or 2).
+  /// Wire version negotiated with shard `shard` (1 or 2; 0 for a failed
+  /// or unknown slot).
   std::uint8_t shard_wire_version(std::size_t shard) const;
 
   /// One completed result in arrival order across shards, or nullopt when
@@ -225,19 +225,14 @@ class RoutingClient {
 
   /// Declares shard `shard` dead and recovers without its cooperation:
   /// the connection drops, unacked pipelined windows resolve to nullopt,
-  /// and a failover epoch flips the ring to a subset ring over the
-  /// survivors — no DRAIN_PATIENT/EXTRACT_SLO handshake, the peer is
-  /// gone.  Because virtual-node positions depend only on (shard,
-  /// replica), only the dead shard's patients move and every survivor
-  /// keeps its index, so tickets from any epoch still compose.  The
-  /// client's own submit/poll mirrors stand in for the unavailable final
-  /// snapshot: every acknowledged window is folded into the retired
-  /// accumulator as completed (polled back in time) or `lost` (destroyed
-  /// with the shard — including any it shed before dying, which are
-  /// indistinguishable from here).  The dead shard's per-patient SLO
-  /// history dies with it; survivors adopt its patients with fresh
-  /// trackers.  False when the shard is already failed, out of range, or
-  /// the last one standing (nowhere to re-home).
+  /// and a failover epoch (host::Topology::fail) re-homes only its
+  /// patients — no DRAIN_PATIENT/EXTRACT_SLO handshake, the peer is gone.
+  /// The client's own submit/poll mirrors stand in for the unavailable
+  /// final snapshot in the crash fold: `lost` counts every acknowledged
+  /// window never polled back, including any it shed before dying (those
+  /// are indistinguishable from here).  Its per-patient SLO history dies
+  /// with it.  False when the shard is already failed, out of range, the
+  /// last one standing, or no topology is open.
   bool fail_shard(std::size_t shard);
 
   /// One liveness round trip to shard `shard`: HEALTH (nonce echoed) on
@@ -258,7 +253,8 @@ class RoutingClient {
 
   /// Per-patient SLO state fetched from the patient's current owner
   /// (EXTRACT_SLO + immediate ADOPT_SLO back, so the history stays on the
-  /// shard).  nullopt when the shard is unreachable.
+  /// shard).  nullopt when the patient has no history there, the shard is
+  /// unreachable, or no topology is open.
   std::optional<host::SloTrackerState> patient_slo_state(std::uint32_t patient_id);
 
   /// Closes every connection; with `send_bye`, dismisses the shards first
@@ -281,9 +277,6 @@ class RoutingClient {
     std::vector<std::uint8_t> rx;
     std::uint8_t version = kWireVersion;  ///< Negotiated on (re)connect.
     std::size_t index = 0;  ///< Shard index (== this conn's slot in conns_).
-    /// Declared dead by fail_shard(): never reconnected, skipped by every
-    /// sweep; the slot stays so survivor indices don't shift.
-    bool failed = false;
     // Client-side mirrors of the shard's counters, maintained from the
     // frames this client exchanged with it.  They are exact for exactly
     // the quantities a crash makes unknowable server-side, which is what
@@ -304,6 +297,10 @@ class RoutingClient {
     std::deque<std::size_t> outstanding_counts;
   };
 
+  /// The one SUBMIT_WINDOW round trip behind submit() (blocking) and
+  /// try_submit(): route, ACK or REJECT, mirror update, and the failover
+  /// re-route of a window that was never acknowledged.
+  std::optional<std::uint64_t> submit_window(host::CompressedWindow& window, bool blocking);
   bool ensure_connected(Conn& conn);
   bool reconnect(Conn& conn);
   /// Sends `buf`; one reconnect-and-resend on failure when `may_retry`.
@@ -311,10 +308,13 @@ class RoutingClient {
   /// Blocks until one complete frame is buffered; fills `frame` (a copy,
   /// stable against further reads) and parses it into `view`.
   bool read_frame(Conn& conn, std::vector<std::uint8_t>& frame, FrameView& view);
-  /// Reads result frames into pending_ until POLL_END; count retrieved.
-  bool read_poll_results(Conn& conn, std::size_t* retrieved);
+  /// Reads result frames into pending_ until POLL_END.
+  bool read_poll_results(Conn& conn);
   /// One POLL/POLL_MANY round trip pulling results into pending_.
-  bool sweep_shard(Conn& conn, std::size_t* retrieved);
+  bool sweep_shard(Conn& conn);
+  /// sweep_shard on every live shard, failing over dead ones under
+  /// cfg.auto_failover.
+  void sweep_all();
   /// Seals staged_bodies into one SUBMIT_BATCH on the wire (scatter-
   /// gather) and enforces the pipeline depth by harvesting ACKs.
   bool seal_batch(Conn& conn);
@@ -326,25 +326,26 @@ class RoutingClient {
   /// Marks every unresolved pipelined window of this conn as lost
   /// (nullopt ticket) — the connection died with ACKs outstanding.
   void fail_pipeline(Conn& conn);
-  std::uint64_t compose_result_ticket(const host::WindowResult& result);
+  /// Composes the fleet ticket and queues the result for poll().
+  void accept_result(Conn& conn, host::WindowResult&& result);
   bool drain_and_move_patient(std::uint32_t patient_id, Conn& from, Conn& to);
+  /// EXTRACT_SLO from `from`, ADOPT_SLO into `to` (the same shard hands
+  /// the history back); the extracted state, or nullopt on a failure.
+  std::optional<SloStatePayload> move_slo(std::uint32_t patient_id, Conn& from, Conn& to);
   bool retire(Conn& conn);
   bool fetch_snapshot(Conn& conn, SnapshotPayload& out);
 
   RoutingClientConfig cfg_;
-  std::vector<std::unique_ptr<Conn>> conns_;  ///< Index == shard index.
-  std::uint32_t epoch_ = 0;
-  /// ring_history_[e] is epoch e's ring: result tickets compose with the
-  /// shard index of their *submission* epoch, whatever the topology now.
-  std::vector<host::HashRing> ring_history_;
-  std::unordered_set<std::uint32_t> patients_;  ///< Ever-submitted ids.
-  std::deque<host::WindowResult> pending_;      ///< Polled, not yet returned.
-  SnapshotPayload retired_;  ///< Folded snapshots of dismissed shards.
+  /// Index == shard index; a crash-failed slot is a null hole.
+  std::vector<std::unique_ptr<Conn>> conns_;
+  std::optional<host::Topology> topology_;  ///< Open from a successful connect().
+  std::deque<host::WindowResult> pending_;  ///< Polled, not yet returned.
+  SnapshotPayload retired_;  ///< Folded final snapshots of dismissed shards.
   /// submit_pipelined() calls since the last flush_submits(), in global
   /// submission order; conns' pending_submits index into this.
   std::vector<PipelinedSubmit> pipeline_submits_;
   /// CR-hint cache from the last refresh_cr_hints().  Valid only while
-  /// hints_epoch_ == epoch_ (set_topology opens a new epoch and thereby
+  /// hints_epoch_ == epoch() (set_topology opens a new epoch and thereby
   /// invalidates every cached hint).  0.0 entries mean "no advisory".
   std::unordered_map<std::uint32_t, double> cr_hints_;  ///< patient -> CR %.
   std::vector<double> shard_advisory_;                  ///< shard -> CR %.

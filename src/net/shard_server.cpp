@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -196,6 +197,8 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
 
   switch (frame.type) {
     case FrameType::kSubmitWindow: {
+      // v1's single-window verb is a batch of one through the SUBMIT_BATCH
+      // admission path; only the ACK encoding differs.
       host::CompressedWindow window;
       std::uint8_t flags = 0;
       if (!decode_submit_window(frame.payload, window, flags,
@@ -203,86 +206,48 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         send_error(conn, ErrorCode::kBadPayload, "malformed SUBMIT_WINDOW", true);
         return;
       }
-      if (flags & kSubmitFlagBlocking) {
-        if (engine_->thread_count() == 0) {
-          // Serial engine: the calling thread is the solver, so a blocking
-          // submit makes its own room — deferring would stall forever.
-          encode_submit_ack(tx, engine_->submit(std::move(window)));
-        } else {
-          std::vector<host::CompressedWindow> one;
-          one.push_back(std::move(window));
-          submit_blocking(conn, std::move(one), {}, /*batch=*/false);
-        }
-      } else if (auto ticket = engine_->try_submit(std::move(window))) {
-        encode_submit_ack(tx, *ticket);
-      } else {
-        encode_submit_reject(tx);
-      }
+      conn.deferred_windows.clear();
+      conn.deferred_windows.push_back(std::move(window));
+      admit(conn, flags, /*batch=*/false);
       return;
     }
     case FrameType::kSubmitBatch: {
       std::uint8_t flags = 0;
-      std::vector<host::CompressedWindow> windows;
-      if (!decode_submit_batch(frame.payload, flags, windows,
+      if (!decode_submit_batch(frame.payload, flags, conn.deferred_windows,
                                cfg_.engine.payload_pool.get())) {
         send_error(conn, ErrorCode::kBadPayload, "malformed SUBMIT_BATCH", true);
         return;
       }
-      std::vector<SubmitBatchAckEntry> acks;
-      acks.reserve(windows.size());
-      if (flags & kSubmitFlagBlocking) {
-        if (engine_->thread_count() == 0) {
-          for (auto& window : windows) {
-            acks.push_back({true, engine_->submit(std::move(window))});
-          }
-          encode_submit_batch_ack(tx, acks);
-        } else {
-          submit_blocking(conn, std::move(windows), std::move(acks), /*batch=*/true);
-        }
-      } else {
-        for (auto& window : windows) {
-          if (auto ticket = engine_->try_submit(std::move(window))) {
-            acks.push_back({true, *ticket});
-          } else {
-            acks.push_back({false, 0});
-          }
-        }
-        encode_submit_batch_ack(tx, acks);
-      }
+      admit(conn, flags, /*batch=*/true);
       return;
     }
+    case FrameType::kPoll:
     case FrameType::kPollMany: {
+      const bool many = frame.type == FrameType::kPollMany;
       std::uint32_t max_results = 0;
-      if (!decode_poll_many(frame.payload, max_results)) {
-        send_error(conn, ErrorCode::kBadPayload, "malformed POLL_MANY", true);
+      if (!(many ? decode_poll_many(frame.payload, max_results)
+                 : decode_poll(frame.payload, max_results))) {
+        send_error(conn, ErrorCode::kBadPayload, many ? "malformed POLL_MANY" : "malformed POLL",
+                   true);
         return;
       }
       if (max_results == 0 || max_results > cfg_.max_poll_results) {
         max_results = cfg_.max_poll_results;
       }
-      poll_many(conn, max_results);
-      return;
-    }
-    case FrameType::kPoll: {
-      std::uint32_t max_results = 0;
-      if (!decode_poll(frame.payload, max_results)) {
-        send_error(conn, ErrorCode::kBadPayload, "malformed POLL", true);
+      if (!many) {
+        // v1: one RESULT frame per window, then POLL_END.
+        encode_poll_end(tx, poll_results(tx, max_results, SIZE_MAX, encode_result));
         return;
       }
-      if (max_results == 0 || max_results > cfg_.max_poll_results) {
-        max_results = cfg_.max_poll_results;
-      }
-      std::uint32_t sent = 0;
-      while (sent < max_results) {
-        auto result = engine_->poll();
-        if (!result) break;
-        encode_result(tx, *result, cfg_.wire);
-        if (cfg_.engine.payload_pool) {
-          cfg_.engine.payload_pool->recycle(std::move(*result));
-        }
-        ++sent;
-      }
-      encode_poll_end(tx, sent);
+      // One POLL_MANY answers with exactly one RESULT_BATCH, capped by
+      // count AND by bytes: a deep completion list of large windows must
+      // not assemble a frame past kMaxPayloadBytes.  The client just
+      // polls again.
+      constexpr std::size_t kBatchByteBudget = 4 * 1024 * 1024;
+      batch_staging_.clear();
+      const std::uint32_t count =
+          poll_results(batch_staging_, max_results, kBatchByteBudget, encode_result_entry);
+      encode_result_batch(tx, batch_staging_, count);
       return;
     }
     case FrameType::kDrainPatient: {
@@ -415,17 +380,32 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
   }
 }
 
-void ShardServer::submit_blocking(Connection& conn,
-                                  std::vector<host::CompressedWindow>&& windows,
-                                  std::vector<SubmitBatchAckEntry>&& acks, bool batch) {
-  conn.deferred_windows = std::move(windows);
-  conn.deferred_acks = std::move(acks);
+void ShardServer::admit(Connection& conn, std::uint8_t flags, bool batch) {
+  conn.deferred_acks.clear();
   conn.deferred_next = 0;
   conn.deferred_batch = batch;
-  conn.deferred = Connection::Deferred::kSubmit;
-  // Usually the engine has room and this completes synchronously; only a
-  // genuinely full engine leaves the verb parked.
-  advance_deferred(conn);
+  const bool blocking = (flags & kSubmitFlagBlocking) != 0;
+  if (blocking && engine_->thread_count() > 0) {
+    // Park for deferred admission.  Usually the engine has room and this
+    // completes synchronously; only a genuinely full engine leaves the
+    // verb parked.
+    conn.deferred = Connection::Deferred::kSubmit;
+    advance_deferred(conn);
+    return;
+  }
+  // Non-blocking: admit or bounce each window now.  Blocking on a serial
+  // engine: the calling thread is the solver, so a blocking submit makes
+  // its own room — deferring would stall forever.
+  for (auto& window : conn.deferred_windows) {
+    if (blocking) {
+      conn.deferred_acks.push_back({true, engine_->submit(std::move(window))});
+    } else if (auto ticket = engine_->try_submit(std::move(window))) {
+      conn.deferred_acks.push_back({true, *ticket});
+    } else {
+      conn.deferred_acks.push_back({false, 0});
+    }
+  }
+  finish_submit(conn);
 }
 
 void ShardServer::advance_deferred(Connection& conn) {
@@ -456,8 +436,10 @@ void ShardServer::advance_deferred(Connection& conn) {
 void ShardServer::finish_submit(Connection& conn) {
   if (conn.deferred_batch) {
     encode_submit_batch_ack(conn.tx, conn.deferred_acks);
-  } else {
+  } else if (conn.deferred_acks.front().accepted) {
     encode_submit_ack(conn.tx, conn.deferred_acks.front().local_ticket);
+  } else {
+    encode_submit_reject(conn.tx);
   }
   conn.deferred = Connection::Deferred::kNone;
   conn.deferred_windows.clear();
@@ -465,23 +447,18 @@ void ShardServer::finish_submit(Connection& conn) {
   conn.deferred_next = 0;
 }
 
-void ShardServer::poll_many(Connection& conn, std::uint32_t max_results) {
-  // One POLL_MANY answers with exactly one RESULT_BATCH, capped by count
-  // AND by bytes: a deep completion list of large windows must not
-  // assemble a frame past kMaxPayloadBytes.  The client just polls again.
-  constexpr std::size_t kBatchByteBudget = 4 * 1024 * 1024;
-  batch_staging_.clear();
-  std::uint64_t count = 0;
-  while (count < max_results && batch_staging_.size() < kBatchByteBudget) {
+std::uint32_t ShardServer::poll_results(std::vector<std::uint8_t>& out,
+                                        std::uint32_t max_results, std::size_t byte_budget,
+                                        ResultEncoder encode) {
+  std::uint32_t count = 0;
+  while (count < max_results && out.size() < byte_budget) {
     auto result = engine_->poll();
     if (!result) break;
-    encode_result_entry(batch_staging_, *result, cfg_.wire);
-    if (cfg_.engine.payload_pool) {
-      cfg_.engine.payload_pool->recycle(std::move(*result));
-    }
+    encode(out, *result, cfg_.wire);
+    if (cfg_.engine.payload_pool) cfg_.engine.payload_pool->recycle(std::move(*result));
     ++count;
   }
-  encode_result_batch(conn.tx, batch_staging_, count);
+  return count;
 }
 
 void ShardServer::send_error(Connection& conn, ErrorCode code, const std::string& detail,

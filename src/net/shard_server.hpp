@@ -118,6 +118,8 @@ class ShardServer {
     enum class Deferred { kNone, kSubmit, kDrain };
     Deferred deferred = Deferred::kNone;
     bool deferred_batch = false;  ///< Answer with SUBMIT_BATCH_ACK, not SUBMIT_ACK.
+    /// The submit being admitted (a v1 SUBMIT_WINDOW is a batch of one);
+    /// reused across submits so steady-state admission does not allocate.
     std::vector<host::CompressedWindow> deferred_windows;
     std::size_t deferred_next = 0;  ///< First window not yet admitted.
     std::vector<SubmitBatchAckEntry> deferred_acks;
@@ -131,14 +133,22 @@ class ShardServer {
   /// Runs one step of the connection's parked verb; appends the response
   /// and clears the deferred state once it completes.
   void advance_deferred(Connection& conn);
-  /// Parks a blocking submit (single window or batch tail) for deferred
-  /// admission, or answers immediately when everything fits right now.
-  void submit_blocking(Connection& conn, std::vector<host::CompressedWindow>&& windows,
-                       std::vector<SubmitBatchAckEntry>&& acks, bool batch);
-  /// Appends the deferred-submit response (SUBMIT_ACK or SUBMIT_BATCH_ACK).
+  /// Admits conn.deferred_windows — SUBMIT_WINDOW (`batch` false) and
+  /// SUBMIT_BATCH alike: non-blocking windows are admitted or bounced now,
+  /// blocking ones park for deferred admission on a threaded engine.
+  void admit(Connection& conn, std::uint8_t flags, bool batch);
+  /// Appends the submit response (SUBMIT_ACK/SUBMIT_REJECT or
+  /// SUBMIT_BATCH_ACK) and clears the deferred state.
   void finish_submit(Connection& conn);
-  /// Polls up to `max_results` completed windows into one RESULT_BATCH.
-  void poll_many(Connection& conn, std::uint32_t max_results);
+  /// encode_result (a RESULT frame) or encode_result_entry (a
+  /// RESULT_BATCH body).
+  using ResultEncoder = void (*)(std::vector<std::uint8_t>&, const host::WindowResult&,
+                                 const WireEncodeOptions&);
+  /// Polls up to `max_results` completed windows, encoding each into `out`
+  /// and recycling its payload; stops early once `out` reaches
+  /// `byte_budget`.  Returns the count encoded.
+  std::uint32_t poll_results(std::vector<std::uint8_t>& out, std::uint32_t max_results,
+                             std::size_t byte_budget, ResultEncoder encode);
   void send_error(Connection& conn, ErrorCode code, const std::string& detail,
                   bool close_after);
   /// Pushes conn.tx to the socket as far as the kernel allows.

@@ -1,7 +1,7 @@
 // Fidelity-degrade policy: under backlog pressure the engine demotes
 // queued routine windows down the Figure-5 ladder (higher effective CR,
 // capped iterations) instead of shedding them whole.  Pins the contract
-// edges: policy off is bit-identical to an engine without the tier
+// edges: an empty ladder is bit-identical to an engine without the tier
 // machinery, urgent windows never demote no matter the flood, a preset
 // tier is honored deterministically (the audit path), and a
 // row-truncated solve still reconstructs the signal.
@@ -56,22 +56,21 @@ bool same_signal(const std::vector<double>& a, const std::vector<double>& b) {
 /// A config under enough synthetic pressure to trip the proactive
 /// demotion trigger on every submit past the first: pinned 10 ms solves
 /// against a 10 ms deadline mean the priced backlog overshoots as soon
-/// as two windows queue.
-EngineConfig pressured_engine(DegradePolicy policy) {
+/// as two windows queue.  Without a ladder the engine never degrades.
+EngineConfig pressured_engine(bool ladder) {
   auto cfg = fast_engine(0);  // Serial: nothing drains until poll().
   cfg.queue_capacity = 64;
   cfg.slo.deadline_ms = 10.0;
   cfg.shed_solve_estimate_ms = 10.0;  // Pin the predictor: no EWMA warmup.
-  cfg.degrade_policy = policy;
-  cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
+  if (ladder) cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
   cfg.degrade_backlog_deadlines = 1.0;
   return cfg;
 }
 
 TEST(DegradePolicy, OffIsBitIdenticalToAnEngineWithoutTheMachinery) {
-  // Same pressured shape, policy off vs a plain engine that has never
-  // heard of tiers: every reconstruction must match bit for bit.
-  ReconstructionEngine off(pressured_engine(DegradePolicy::kOff));
+  // Same pressured shape with an empty ladder vs a plain engine that has
+  // never heard of tiers: every reconstruction must match bit for bit.
+  ReconstructionEngine off(pressured_engine(/*ladder=*/false));
   ReconstructionEngine plain(fast_engine(0));
 
   auto first = ecg_windows(6);
@@ -87,13 +86,13 @@ TEST(DegradePolicy, OffIsBitIdenticalToAnEngineWithoutTheMachinery) {
     EXPECT_EQ(off_results[i].solve_tier.tier, 0u);
     EXPECT_FALSE(off_results[i].degraded);
     EXPECT_TRUE(same_signal(off_results[i].signal, plain_results[i].signal))
-        << "window " << i << ": kOff changed the reconstruction";
+        << "window " << i << ": an empty ladder changed the reconstruction";
   }
   EXPECT_EQ(off.slo().snapshot().degraded_windows, 0u);
 }
 
 TEST(DegradePolicy, ProactiveTriggerDemotesQueuedRoutineWindows) {
-  ReconstructionEngine engine(pressured_engine(DegradePolicy::kCrIter));
+  ReconstructionEngine engine(pressured_engine(/*ladder=*/true));
   auto windows = ecg_windows(8);
   const std::uint32_t n = windows.front().window_samples;
   const auto expected_m =
@@ -127,7 +126,7 @@ TEST(DegradePolicy, ProactiveTriggerDemotesQueuedRoutineWindows) {
 }
 
 TEST(DegradePolicy, UrgentWindowsNeverDemoteUnderFlood) {
-  ReconstructionEngine engine(pressured_engine(DegradePolicy::kCrIter));
+  ReconstructionEngine engine(pressured_engine(/*ladder=*/true));
   auto windows = ecg_windows(12);
   for (std::size_t i = 0; i < windows.size(); ++i) {
     if (i % 3 == 0) windows[i].priority = cs::WindowPriority::kUrgent;  // 4 of 12.
@@ -160,7 +159,6 @@ TEST(DegradePolicy, DemotionRepricesTheBacklogUnderMeasuredCosts) {
   auto cfg = fast_engine(0);
   cfg.queue_capacity = 64;
   cfg.slo.deadline_ms = 0.05;  // Any measured backlog overshoots.
-  cfg.degrade_policy = DegradePolicy::kCrIter;
   cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
   cfg.degrade_backlog_deadlines = 1.0;
   ReconstructionEngine engine(cfg);

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "cs/sensing_matrix.hpp"
-#include "host/work_queue.hpp"
 #include "sig/ecg_synth.hpp"
 #include "sig/rng.hpp"
 

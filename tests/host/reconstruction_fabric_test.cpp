@@ -92,23 +92,9 @@ TEST(FabricRouting, ShardOfIsStableAndCoversAllShards) {
 }
 
 TEST(FabricRouting, CompositeTicketsRoundTripAndStayUnique) {
-  // Epoch | shard | local bit fields round-trip independently, including
-  // at each field's maximum value.
-  const auto ticket = ReconstructionFabric::compose_ticket(5, 3, 41);
-  EXPECT_EQ(ReconstructionFabric::ticket_epoch(ticket), 5u);
-  EXPECT_EQ(ReconstructionFabric::ticket_shard(ticket), 3u);
-  EXPECT_EQ(ReconstructionFabric::ticket_local(ticket), 41u);
-
-  constexpr std::uint32_t kMaxEpoch = (1u << ReconstructionFabric::kEpochBits) - 1;
-  constexpr std::size_t kMaxShard = (std::size_t{1} << ReconstructionFabric::kShardBits) - 1;
-  constexpr std::uint64_t kMaxLocal =
-      (std::uint64_t{1} << ReconstructionFabric::kLocalTicketBits) - 1;
-  const auto max_ticket = ReconstructionFabric::compose_ticket(kMaxEpoch, kMaxShard, kMaxLocal);
-  EXPECT_EQ(ReconstructionFabric::ticket_epoch(max_ticket), kMaxEpoch);
-  EXPECT_EQ(ReconstructionFabric::ticket_shard(max_ticket), kMaxShard);
-  EXPECT_EQ(ReconstructionFabric::ticket_local(max_ticket), kMaxLocal);
-  EXPECT_EQ(max_ticket, ~std::uint64_t{0}) << "the three fields must tile all 64 bits";
-
+  // The bit layout itself is pinned in topology_test.cpp; here the
+  // fabric's tickets name the routing epoch and owner, and every result
+  // echoes its submission's ticket.
   FabricConfig cfg;
   cfg.shards = 3;
   cfg.engine = fast_engine(0);
@@ -120,8 +106,8 @@ TEST(FabricRouting, CompositeTicketsRoundTripAndStayUnique) {
     CompressedWindow copy = window;
     const auto ticket = fabric.try_submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value());
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(*ticket), fabric.epoch());
-    EXPECT_EQ(ReconstructionFabric::ticket_shard(*ticket), fabric.shard_of(window.patient_id));
+    EXPECT_EQ(Topology::ticket_epoch(*ticket), fabric.epoch());
+    EXPECT_EQ(Topology::ticket_shard(*ticket), fabric.shard_of(window.patient_id));
     EXPECT_TRUE(tickets.insert(*ticket).second) << "fabric tickets must be unique";
   }
   const auto results = fabric.drain();
@@ -149,7 +135,7 @@ TEST(FabricRouting, TicketsStayUniqueAcrossAnEpochBump) {
       CompressedWindow copy = window;
       const auto ticket = fabric.try_submit(std::move(copy));
       ASSERT_TRUE(ticket.has_value());
-      EXPECT_EQ(ReconstructionFabric::ticket_epoch(*ticket), fabric.epoch());
+      EXPECT_EQ(Topology::ticket_epoch(*ticket), fabric.epoch());
       EXPECT_TRUE(tickets.insert(*ticket).second)
           << "composite tickets must stay unique across epochs";
     }
@@ -187,7 +173,7 @@ TEST(FabricRouting, OldEpochTicketsStillPollCorrectlyAfterResize) {
     CompressedWindow copy = window;
     const auto ticket = fabric.try_submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value());
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(*ticket), 0u);
+    EXPECT_EQ(Topology::ticket_epoch(*ticket), 0u);
     submitted.emplace(*ticket, WindowKey{window.patient_id, window.window_index});
   }
 
@@ -204,7 +190,7 @@ TEST(FabricRouting, OldEpochTicketsStillPollCorrectlyAfterResize) {
     const auto found = submitted.find(result->ticket);
     ASSERT_NE(found, submitted.end())
         << "old-epoch ticket must survive the resize unchanged";
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(result->ticket), 0u);
+    EXPECT_EQ(Topology::ticket_epoch(result->ticket), 0u);
     EXPECT_EQ(found->second, (WindowKey{result->patient_id, result->window_index}));
     submitted.erase(found);
     ++polled;
@@ -539,8 +525,8 @@ TEST(FabricFailover, FailShardRehomesOnlyDeadPatientsAndAccountsLoss) {
     if (window.patient_id != rehomed) continue;
     CompressedWindow copy = window;
     const std::uint64_t ticket = fabric.submit(std::move(copy));
-    EXPECT_EQ(ReconstructionFabric::ticket_epoch(ticket), 1u);
-    EXPECT_NE(ReconstructionFabric::ticket_shard(ticket), kDead);
+    EXPECT_EQ(Topology::ticket_epoch(ticket), 1u);
+    EXPECT_NE(Topology::ticket_shard(ticket), kDead);
     break;
   }
   const auto after = fabric.drain();
@@ -611,7 +597,7 @@ TEST(FabricFailover, LastSurvivorCannotFailAndKeepsServing) {
   for (const auto& window : batch) {
     CompressedWindow copy = window;
     const std::uint64_t ticket = fabric.submit(std::move(copy));
-    EXPECT_EQ(ReconstructionFabric::ticket_shard(ticket), 1u);
+    EXPECT_EQ(Topology::ticket_shard(ticket), 1u);
   }
   EXPECT_EQ(fabric.drain().size(), batch.size());
   EXPECT_EQ(fabric.slo_snapshot().lost, 0u) << "an empty shard dies with nothing to lose";

@@ -244,8 +244,8 @@ TEST(MultiProcessFailover, Kill9MidStreamRecoversWithConservationAndBitIdentical
     CompressedWindow copy = traffic[i];
     const auto ticket = client.submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value()) << "post-failover submits must succeed";
-    EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*ticket), 1u);
-    EXPECT_NE(host::ReconstructionFabric::ticket_shard(*ticket), 1u);
+    EXPECT_EQ(host::Topology::ticket_epoch(*ticket), 1u);
+    EXPECT_NE(host::Topology::ticket_shard(*ticket), 1u);
   }
   for (auto&& r : client.drain()) keep(std::move(r));
 

@@ -150,8 +150,8 @@ TEST(RoutingClient, RoundTripMatchesSerialReferenceBitForBit) {
     ASSERT_TRUE(ticket.has_value());
     EXPECT_TRUE(submit_tickets.insert(*ticket).second) << "tickets must be unique";
     // Composite form: epoch 0, the owner shard of the patient.
-    EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*ticket), 0u);
-    EXPECT_EQ(host::ReconstructionFabric::ticket_shard(*ticket),
+    EXPECT_EQ(host::Topology::ticket_epoch(*ticket), 0u);
+    EXPECT_EQ(host::Topology::ticket_shard(*ticket),
               client.owner(window.patient_id));
   }
 
@@ -178,6 +178,54 @@ TEST(RoutingClient, RoundTripMatchesSerialReferenceBitForBit) {
   EXPECT_EQ(agg.unsolved, 0u);
   EXPECT_EQ(agg.ready, 0u);
   client.shutdown(/*send_bye=*/false);
+}
+
+TEST(RoutingClient, NoTopologyMeansEveryRoutingCallFailsCleanly) {
+  // A client that never connected, and one whose connect() failed partway,
+  // own no topology: routing calls fail instead of indexing a ring or a
+  // connection table that is not there (the ASan lane would catch a read
+  // past either).
+  const auto traffic = fleet_traffic(/*patients=*/1, /*beats_per_patient=*/2);
+  auto cfg = client_config();
+  cfg.reconnect_attempts = 0;  // A dead port fails fast, not after backoff.
+  cfg.pipeline_depth = 2;
+  const auto expect_refused = [&](RoutingClient& client) {
+    EXPECT_EQ(client.shard_count(), 0u);
+    EXPECT_EQ(client.live_shard_count(), 0u);
+    EXPECT_EQ(client.epoch(), 0u);
+    CompressedWindow blocking = traffic[0];
+    CompressedWindow bounded = traffic[0];
+    CompressedWindow pipelined = traffic[0];
+    EXPECT_FALSE(client.submit(std::move(blocking)).has_value());
+    EXPECT_FALSE(client.try_submit(std::move(bounded)).has_value());
+    EXPECT_FALSE(client.submit_pipelined(std::move(pipelined)));
+    const auto flushed = client.flush_submits();
+    ASSERT_EQ(flushed.size(), 1u) << "one entry per submit_pipelined call";
+    EXPECT_FALSE(flushed[0].has_value());
+    EXPECT_FALSE(client.patient_slo_state(traffic[0].patient_id).has_value());
+    EXPECT_FALSE(client.cr_hint(traffic[0].patient_id).has_value());
+    EXPECT_FALSE(client.poll().has_value());
+    EXPECT_FALSE(client.fail_shard(0));
+    EXPECT_FALSE(client.set_topology({{"127.0.0.1", 1}}));
+  };
+
+  RoutingClient never_connected(cfg);
+  expect_refused(never_connected);
+
+  LocalShard live(1), dead(1);
+  dead.kill();  // Its port now refuses connections.
+  RoutingClient partial(cfg);
+  EXPECT_FALSE(partial.connect({live.endpoint(), dead.endpoint()}));
+  expect_refused(partial);
+  EXPECT_FALSE(partial.connect({})) << "an empty fleet has nowhere to route";
+  expect_refused(partial);
+
+  // A later complete connect opens epoch 0 as usual.
+  ASSERT_TRUE(partial.connect({live.endpoint()}));
+  CompressedWindow window = traffic[0];
+  EXPECT_TRUE(partial.submit(std::move(window)).has_value());
+  EXPECT_EQ(partial.drain().size(), 1u);
+  partial.shutdown(/*send_bye=*/false);
 }
 
 TEST(RoutingClient, LiveGrowAndShrinkConserveEverything) {
@@ -335,8 +383,8 @@ TEST(RoutingClient, PipelinedSubmitsMatchSerialReferenceBitForBit) {
   std::set<std::uint64_t> unique(tickets.begin(), tickets.end());
   EXPECT_EQ(unique.size(), traffic.size()) << "tickets must be unique";
   for (std::size_t i = 0; i < traffic.size(); ++i) {
-    EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(tickets[i]), 0u);
-    EXPECT_EQ(host::ReconstructionFabric::ticket_shard(tickets[i]),
+    EXPECT_EQ(host::Topology::ticket_epoch(tickets[i]), 0u);
+    EXPECT_EQ(host::Topology::ticket_shard(tickets[i]),
               client.owner(traffic[i].patient_id))
         << "window " << i;
   }
@@ -732,8 +780,8 @@ TEST(Failover, FailShardOpensFailoverEpochAndConservesWithLost) {
   const WindowKey rehomed_key{rehomed->patient_id, rehomed->window_index};
   const auto ticket = client.submit(std::move(*rehomed));
   ASSERT_TRUE(ticket.has_value());
-  EXPECT_EQ(host::ReconstructionFabric::ticket_epoch(*ticket), 1u);
-  EXPECT_EQ(host::ReconstructionFabric::ticket_shard(*ticket), 1u);
+  EXPECT_EQ(host::Topology::ticket_epoch(*ticket), 1u);
+  EXPECT_EQ(host::Topology::ticket_shard(*ticket), 1u);
   auto post = client.drain();
   ASSERT_EQ(post.size(), 1u);
   EXPECT_TRUE(bit_identical(post.front().signal, reference.at(rehomed_key).signal));
@@ -772,7 +820,7 @@ TEST(Failover, AutoFailoverReroutesAndKeepsServing) {
     CompressedWindow copy = window;
     const auto ticket = client.submit(std::move(copy));
     ASSERT_TRUE(ticket.has_value()) << "auto-failover must keep the fleet serving";
-    EXPECT_EQ(host::ReconstructionFabric::ticket_shard(*ticket), 1u)
+    EXPECT_EQ(host::Topology::ticket_shard(*ticket), 1u)
         << "post-failover submits land on the survivor";
   }
   EXPECT_TRUE(client.shard_failed(0));
