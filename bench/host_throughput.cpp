@@ -613,7 +613,6 @@ int run_adaptive(std::vector<host::CompressedWindow> batch, int threads,
 
   host::EngineConfig adaptive_cfg = cfg;
   adaptive_cfg.degrade_tiers = {{tier_cr, tier_cap}};
-  adaptive_cfg.degrade_backlog_deadlines = 1.0;
   const auto adaptive = run_overload_phase(batch, adaptive_cfg, rate_hz);
 
   // Per-tier SNR split of the adaptive run.

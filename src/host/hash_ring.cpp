@@ -31,11 +31,11 @@ std::vector<std::size_t> contiguous(std::size_t shards) {
 
 }  // namespace
 
-HashRing::HashRing(std::size_t shards, std::size_t vnodes_per_shard)
-    : HashRing(contiguous(shards), vnodes_per_shard) {}
+HashRing::HashRing(std::size_t shards, std::size_t vnodes)
+    : HashRing(contiguous(shards), vnodes) {}
 
-HashRing::HashRing(const std::vector<std::size_t>& shard_ids, std::size_t vnodes_per_shard) {
-  const std::size_t vnodes = std::max<std::size_t>(1, vnodes_per_shard);
+HashRing::HashRing(const std::vector<std::size_t>& shard_ids, std::size_t vnodes) {
+  vnodes = std::max<std::size_t>(1, vnodes);
   ring_.reserve(shard_ids.size() * vnodes);
   for (const std::size_t shard : shard_ids) {
     for (std::size_t replica = 0; replica < vnodes; ++replica) {

@@ -2,7 +2,7 @@
 //
 // Mod-N routing re-routes almost every patient when the shard count
 // changes (a fleet-wide cache flush and SLO-history split per resize).
-// Here each shard owns `vnodes_per_shard` pseudo-random points on a 64-bit
+// Here each shard owns `vnodes` pseudo-random points on a 64-bit
 // circle, a patient is owned by the first virtual node at or clockwise of
 // its hash point, and a virtual node's position is a pure function of
 // (shard index, replica index), independent of the shard *count*.  Growing
@@ -26,14 +26,14 @@ std::uint64_t splitmix64(std::uint64_t x);
 class HashRing {
  public:
   /// Builds the ring for `shards` shards (indices 0..shards-1), each
-  /// contributing `vnodes_per_shard` virtual nodes (clamped to >= 1).
-  HashRing(std::size_t shards, std::size_t vnodes_per_shard);
+  /// contributing `vnodes` virtual nodes (clamped to >= 1).
+  HashRing(std::size_t shards, std::size_t vnodes);
 
   /// Builds the ring over an explicit (not necessarily contiguous) set of
   /// shard indices.  Because a virtual node's position depends only on
   /// (shard, replica), a ring over {0,1,3} is exactly the {0,1,2,3} ring
   /// with shard 2's points deleted (the failover ring, Topology::fail).
-  HashRing(const std::vector<std::size_t>& shard_ids, std::size_t vnodes_per_shard);
+  HashRing(const std::vector<std::size_t>& shard_ids, std::size_t vnodes);
 
   /// Virtual-node position for (shard, replica): a pure function of its
   /// arguments, which is what makes the ring consistent across resizes.

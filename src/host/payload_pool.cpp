@@ -10,8 +10,7 @@ PayloadPool::PayloadPool(PayloadPoolConfig cfg) : cfg_(cfg) {
   signals_.reserve(cfg_.capacity);
 }
 
-std::vector<double> PayloadPool::acquire_from(std::vector<std::vector<double>>& list,
-                                              std::size_t reserve) {
+std::vector<double> PayloadPool::acquire_from(std::vector<std::vector<double>>& list) {
   {
     std::lock_guard<std::mutex> lk(mutex_);
     if (!list.empty()) {
@@ -22,9 +21,7 @@ std::vector<double> PayloadPool::acquire_from(std::vector<std::vector<double>>& 
     }
     ++stats_.misses;
   }
-  std::vector<double> buf;
-  if (reserve > 0) buf.reserve(reserve);
-  return buf;
+  return {};
 }
 
 void PayloadPool::recycle_to(std::vector<std::vector<double>>& list,
@@ -40,15 +37,15 @@ void PayloadPool::recycle_to(std::vector<std::vector<double>>& list,
 }
 
 std::vector<double> PayloadPool::acquire_measurements() {
-  return acquire_from(measurements_, cfg_.measurement_reserve);
+  return acquire_from(measurements_);
 }
 
 std::vector<double> PayloadPool::acquire_reference() {
-  return acquire_from(references_, cfg_.signal_reserve);
+  return acquire_from(references_);
 }
 
 std::vector<double> PayloadPool::acquire_signal() {
-  return acquire_from(signals_, cfg_.signal_reserve);
+  return acquire_from(signals_);
 }
 
 CompressedWindow PayloadPool::acquire_window() {

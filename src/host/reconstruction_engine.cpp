@@ -111,16 +111,14 @@ void ReconstructionEngine::pop_batch(std::vector<WorkItem*>& items) {
     const std::size_t backlog = queue_.size() + items.size();
     const auto workers = static_cast<std::size_t>(std::max(1, cfg_.threads));
     const std::size_t share = (backlog + workers - 1) / workers;
-    limit = std::clamp<std::size_t>(share, 1,
-                                    static_cast<std::size_t>(std::max(1, cfg_.max_auto_batch)));
+    limit = std::clamp<std::size_t>(share, 1, kMaxAutoBatch);
   }
   if (items.size() < limit) queue_.pop_some(items, limit - items.size());
 }
 
-std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::prepare_matrix(
-    const CompressedWindow& window) {
-  const MatrixKey key{window.matrix_seed, window.measurements.size(), window.window_samples,
-                      window.ones_per_column, 0};
+template <typename Build>
+std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::cached_matrix(const MatrixKey& key,
+                                                                             Build&& build) {
   {
     std::lock_guard<std::mutex> lk(matrices_mutex_);
     const auto found = matrices_.find(key);
@@ -133,9 +131,7 @@ std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::prepare_matrix(
   // cache hits) never stall behind a construction.  Two racing misses both
   // build; emplace keeps the first and the duplicate — bit-identical, it
   // is a pure function of the key — is discarded.
-  sig::Rng rng(window.matrix_seed);
-  auto built = std::make_shared<const cs::SensingMatrix>(cs::SensingMatrix::make_sparse_binary(
-      window.measurements.size(), window.window_samples, window.ones_per_column, rng));
+  auto built = std::make_shared<const cs::SensingMatrix>(build());
   std::lock_guard<std::mutex> lk(matrices_mutex_);
   const auto [it, inserted] = matrices_.emplace(key, CachedMatrix{std::move(built), {}});
   if (inserted) {
@@ -155,39 +151,25 @@ std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::prepare_matrix(
   return it->second.phi;
 }
 
+std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::prepare_matrix(
+    const CompressedWindow& window) {
+  const MatrixKey key{window.matrix_seed, window.measurements.size(), window.window_samples,
+                      window.ones_per_column, 0};
+  return cached_matrix(key, [&window] {
+    sig::Rng rng(window.matrix_seed);
+    return cs::SensingMatrix::make_sparse_binary(
+        window.measurements.size(), window.window_samples, window.ones_per_column, rng);
+  });
+}
+
 std::shared_ptr<const cs::SensingMatrix> ReconstructionEngine::solve_matrix_for(
     const CompressedWindow& window, const std::shared_ptr<const cs::SensingMatrix>& full) {
   const std::size_t m_eff = window.solve_tier.effective_m;
   if (m_eff == 0 || m_eff >= full->rows()) return full;
   const MatrixKey key{window.matrix_seed, window.measurements.size(), window.window_samples,
                       window.ones_per_column, m_eff};
-  {
-    std::lock_guard<std::mutex> lk(matrices_mutex_);
-    const auto found = matrices_.find(key);
-    if (found != matrices_.end()) {
-      lru_.splice(lru_.begin(), lru_, found->second.lru_pos);  // Touch.
-      return found->second.phi;
-    }
-  }
-  // Same miss protocol as prepare_matrix: build outside the lock (the
-  // truncation is a pure function of the full operator and m_eff, so a
-  // racing duplicate is bit-identical and simply discarded).
-  auto built = std::make_shared<const cs::SensingMatrix>(full->truncated(m_eff));
-  std::lock_guard<std::mutex> lk(matrices_mutex_);
-  const auto [it, inserted] = matrices_.emplace(key, CachedMatrix{std::move(built), {}});
-  if (inserted) {
-    lru_.push_front(key);
-    it->second.lru_pos = lru_.begin();
-    if (cfg_.matrix_cache_capacity > 0) {
-      while (matrices_.size() > cfg_.matrix_cache_capacity) {
-        matrices_.erase(lru_.back());
-        lru_.pop_back();
-      }
-    }
-  } else {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  }
-  return it->second.phi;
+  // The truncation is a pure function of the full operator and m_eff.
+  return cached_matrix(key, [&full, m_eff] { return full->truncated(m_eff); });
 }
 
 std::size_t ReconstructionEngine::cached_matrices() const {
@@ -196,7 +178,6 @@ std::size_t ReconstructionEngine::cached_matrices() const {
 }
 
 std::shared_ptr<SloTracker> ReconstructionEngine::patient_tracker(std::uint32_t patient_id) {
-  if (!cfg_.per_patient_slo) return nullptr;
   std::lock_guard<std::mutex> lk(patient_slo_mutex_);
   const auto found = patient_slo_.find(patient_id);
   if (found != patient_slo_.end()) return found->second;
@@ -220,7 +201,7 @@ std::shared_ptr<SloTracker> ReconstructionEngine::extract_patient_slo(std::uint3
 
 bool ReconstructionEngine::adopt_patient_slo(std::uint32_t patient_id,
                                              std::shared_ptr<SloTracker> tracker) {
-  if (!cfg_.per_patient_slo || tracker == nullptr) return false;
+  if (tracker == nullptr) return false;
   std::lock_guard<std::mutex> lk(patient_slo_mutex_);
   const auto found = patient_slo_.find(patient_id);
   if (found != patient_slo_.end()) {
@@ -528,19 +509,14 @@ void ReconstructionEngine::maybe_degrade_backlog() {
   if (cfg_.degrade_tiers.empty()) return;
   const double deadline_ms = cfg_.slo.deadline_ms;
   if (deadline_ms <= 0.0) return;
-  const double budget_ms = deadline_ms * std::max(cfg_.degrade_backlog_deadlines, 0.0);
-  const auto workers = static_cast<double>(std::max(1, cfg_.threads));
   const std::size_t bottom = cfg_.degrade_tiers.size();
   // One rung per pass: each routine window in pop order steps one tier
-  // down until the priced backlog fits the budget again.  Sustained
+  // down until the priced backlog fits one deadline again.  Sustained
   // pressure walks again on the next admission, stepping further.  The
   // urgent lane is structurally out of reach (for_each_routine), so AF
   // windows always keep full fidelity.
   queue_.for_each_routine([&](WorkItem* item) {
-    const double wait_ms =
-        static_cast<double>(pending_cost_us_.load(std::memory_order_relaxed)) / 1000.0 /
-        workers;
-    if (wait_ms <= budget_ms) return;  // Pressure already relieved.
+    if (backlog_wait_ms() <= deadline_ms) return;  // Pressure already relieved.
     CompressedWindow& window = item->window;
     if (window.solve_tier.tier >= bottom) return;  // Already at the bottom rung.
     window.solve_tier =
@@ -557,14 +533,6 @@ void ReconstructionEngine::maybe_degrade_backlog() {
     }
     item->charged_cost_us = new_cost;
   });
-}
-
-double shed_aging_protection(double age_ms, double deadline_ms, double aging_deadlines) {
-  if (aging_deadlines <= 1.0 || deadline_ms <= 0.0) return 0.0;
-  // 0 protection up to one deadline of age, full protection at
-  // aging_deadlines deadlines, linear in between.
-  const double protection = (age_ms - deadline_ms) / ((aging_deadlines - 1.0) * deadline_ms);
-  return std::clamp(protection, 0.0, 1.0);
 }
 
 bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priority) {
@@ -594,19 +562,9 @@ bool ReconstructionEngine::shed_predicted_miss(cs::WindowPriority arrival_priori
           static_cast<double>(charge_estimate_us(item->window)) / 1000.0;
       cum_wait_ms += (est_ms > 0.0 ? est_ms : global_est_ms) / workers;
       if (urgent && !urgent_eligible) return std::nullopt;
-      const double age_ms = ms_between(item->enqueue_time, now);
-      const double overshoot_ms = age_ms + cum_wait_ms - deadline_ms;
+      const double overshoot_ms =
+          ms_between(item->enqueue_time, now) + cum_wait_ms - deadline_ms;
       if (overshoot_ms <= 0.0) return std::nullopt;  // Still expected to make it.
-      if (!urgent) {
-        // Starvation guard: a routine window that has already outlived its
-        // deadline under a sustained urgent flood earns shed protection
-        // with age, so the predictor victimizes younger doomed windows
-        // instead of re-dooming the same survivor forever.
-        const double protection =
-            shed_aging_protection(age_ms, deadline_ms, cfg_.shed_starvation_aging);
-        if (protection >= 1.0) return std::nullopt;  // Fully aged: shed-exempt.
-        return overshoot_ms * (1.0 - protection);
-      }
       return overshoot_ms;  // Shed the most-doomed window.
     };
   };
@@ -690,7 +648,6 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     pending_cost_us_.fetch_add(item->charged_cost_us, std::memory_order_relaxed);
   }
   const std::uint64_t ticket = item->ticket;
-  const bool urgent = item->window.priority == cs::WindowPriority::kUrgent;
 
   slo_.on_submit();
   lane_slo_[lane_index(item->window.priority)].on_submit();
@@ -701,16 +658,7 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     std::lock_guard<std::mutex> lk(pending_mutex_);
     ++patient_pending_[item->window.patient_id];
   }
-  if (cfg_.group_submits_by_seed) {
-    // Insert next to the newest queued window sharing this sensing matrix
-    // (object identity — grouping is by the same test process_batch uses),
-    // so worker pops see contiguous same-matrix runs.
-    const cs::SensingMatrix* phi = item->phi.get();
-    queue_.push_grouped(item, urgent,
-                        [phi](WorkItem* other) { return other->phi.get() == phi; });
-  } else {
-    queue_.push(item, urgent);
-  }
+  queue_.push(item, item->window.priority == cs::WindowPriority::kUrgent);
 
   if (!workers_.empty()) {
     {
@@ -719,12 +667,10 @@ std::optional<std::uint64_t> ReconstructionEngine::try_submit_impl(CompressedWin
     work_cv_.notify_one();
   }
   // Proactive degrade trigger: if this admission pushed the priced backlog
-  // past the deadline budget, demote queued routine windows now instead of
-  // waiting for capacity to fill (degrade_backlog_deadlines <= 0 leaves
-  // only the demote-before-shed step).
-  if (!cfg_.degrade_tiers.empty() && cfg_.degrade_backlog_deadlines > 0.0 &&
-      cfg_.slo.deadline_ms > 0.0 &&
-      backlog_wait_ms() > cfg_.slo.deadline_ms * cfg_.degrade_backlog_deadlines) {
+  // past one deadline, demote queued routine windows now instead of
+  // waiting for capacity to fill.
+  if (!cfg_.degrade_tiers.empty() && cfg_.slo.deadline_ms > 0.0 &&
+      backlog_wait_ms() > cfg_.slo.deadline_ms) {
     maybe_degrade_backlog();
   }
   return ticket;

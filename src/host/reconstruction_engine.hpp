@@ -188,12 +188,11 @@ struct EngineConfig {
   /// bit-identical to solo solves, so any value preserves the
   /// determinism contract; 1 (the default) disables packing.
   /// 0 enables backlog-driven auto-sizing: each worker pops
-  /// ceil(backlog / threads) windows, clamped to [1, max_auto_batch] —
-  /// solo solves for latency when the queue is shallow, wide batches for
-  /// throughput when it is deep.
+  /// ceil(backlog / threads) windows, clamped to
+  /// [1, ReconstructionEngine::kMaxAutoBatch] — solo solves for latency
+  /// when the queue is shallow, wide batches for throughput when it is
+  /// deep.
   int batch_windows = 1;
-  /// Upper bound on an auto-sized batch (batch_windows == 0).
-  int max_auto_batch = 32;
   /// Deadline-aware load shedding.  When admission is at capacity and the
   /// backlog predicts a deadline miss, drop the queued window with the
   /// worst predicted overshoot (routine lane first; the urgent lane is
@@ -206,39 +205,16 @@ struct EngineConfig {
   /// Per-window solve-time estimate feeding the shed predictor, in ms.
   /// 0 (default) uses the engine's measured EWMA of completed solves.
   double shed_solve_estimate_ms = 0.0;
-  /// Starvation guard for the shed predictor's routine lane.  Under a
-  /// sustained urgent flood, deadline shedding keeps picking routine
-  /// victims; without a guard an unlucky routine window can be re-doomed
-  /// forever.  A value > 1 grants each routine window growing shed
-  /// protection with age (shed_aging_protection): its shed score fades
-  /// linearly once it outlives its deadline and it becomes fully
-  /// shed-exempt at `shed_starvation_aging` deadlines of age, forcing the
-  /// predictor to pick younger victims (or reject the arrival).  <= 1
-  /// (default) disables aging — pure worst-overshoot victim selection.
-  double shed_starvation_aging = 0.0;
   /// The degrade ladder, cheapest rung last; see DegradeTierSpec.  When
-  /// non-empty, and whenever the priced backlog overshoots the deadline
-  /// budget (see degrade_backlog_deadlines) — and again as the
+  /// non-empty, whenever an admission leaves the priced backlog
+  /// (backlog_wait_ms()) longer than one deadline — and again as the
   /// demote-first step wherever the deadline-shed victim scan would fire —
   /// queued routine windows are demoted one rung down the ladder ("solve
-  /// cheaper") before any window is shed whole.  Empty (the default)
-  /// never degrades: results are bit-identical to an engine without the
-  /// tier machinery.  Requires slo.deadline_ms > 0 to act.
+  /// cheaper") until the backlog fits one deadline again, before any
+  /// window is shed whole.  Empty (the default) never degrades: results
+  /// are bit-identical to an engine without the tier machinery.  Requires
+  /// slo.deadline_ms > 0 to act.
   std::vector<DegradeTierSpec> degrade_tiers;
-  /// Proactive-demotion threshold: after an admission, if
-  /// backlog_wait_ms() exceeds this many deadlines, demote queued routine
-  /// windows until the priced backlog fits again (or the ladder runs out).
-  /// <= 0 disables the proactive trigger; the demote-before-shed step
-  /// still runs.
-  double degrade_backlog_deadlines = 1.0;
-  /// Place each submitted window next to the newest queued window sharing
-  /// its sensing matrix (same lane; FIFO otherwise) instead of strictly at
-  /// the back.  Workers pop contiguous runs, so backlog auto-batching
-  /// (batch_windows == 0) then packs same-matrix groups far more often
-  /// under interleaved multi-patient traffic.  Values are unaffected
-  /// (determinism contract); only completion order moves.  Observability:
-  /// SloSnapshot::grouped_windows counts batched-group members.
-  bool group_submits_by_seed = false;
   /// Invoked (from a worker thread) every time the engine makes progress a
   /// blocked producer could be waiting on: a batch of results was
   /// published and its in-flight slots released, or a queued window was
@@ -254,14 +230,11 @@ struct EngineConfig {
   /// keep their matrix alive regardless (shared ownership), so eviction
   /// never changes results — it only bounds memory across seed churn.
   std::size_t matrix_cache_capacity = 64;
-  /// Maintain one SloTracker per patient_id alongside the engine-wide
-  /// one (see patient_slo_snapshots()).
-  bool per_patient_slo = true;
-  /// Bound on the per-patient tracker map (each tracker is a few KB and
-  /// lives for the engine lifetime — recording threads hold raw pointers,
-  /// so entries are never evicted).  Ids beyond the cap simply go
-  /// untracked in the breakdown; the engine-wide tracker still counts
-  /// them.  0 = unbounded.
+  /// Bound on the per-patient SLO breakdown (patient_slo_snapshots()).
+  /// Each tracker is a few KB and lives for the engine lifetime —
+  /// recording threads hold raw pointers, so entries are never evicted.
+  /// Ids beyond the cap simply go untracked in the breakdown; the
+  /// engine-wide tracker still counts them.  0 = unbounded.
   std::size_t max_tracked_patients = 4096;
   /// Shared payload pool (payload_pool.hpp).  When set, the engine recycles
   /// every consumed window's measurement/reference buffers back into it
@@ -276,7 +249,7 @@ struct EngineConfig {
   SloConfig slo{};
 };
 
-/// One patient's latency/throughput breakdown (per_patient_slo).
+/// One patient's latency/throughput breakdown (patient_slo_snapshots()).
 struct PatientSlo {
   std::uint32_t patient_id = 0;
   SloSnapshot slo;
@@ -284,6 +257,9 @@ struct PatientSlo {
 
 class ReconstructionEngine {
  public:
+  /// Upper bound on an auto-sized batch (EngineConfig::batch_windows == 0).
+  static constexpr std::size_t kMaxAutoBatch = 32;
+
   explicit ReconstructionEngine(EngineConfig cfg = {});
   ~ReconstructionEngine();
 
@@ -366,9 +342,10 @@ class ReconstructionEngine {
     return lane_slo_[lane_index(priority)];
   }
 
-  /// Per-patient SLO breakdown, sorted by patient_id; empty when
-  /// per_patient_slo is off.  Same approximation caveats as
-  /// SloTracker::snapshot() while traffic is in flight.
+  /// Per-patient SLO breakdown (one tracker per patient_id alongside the
+  /// engine-wide one, up to max_tracked_patients), sorted by patient_id.
+  /// Same approximation caveats as SloTracker::snapshot() while traffic
+  /// is in flight.
   std::vector<PatientSlo> patient_slo_snapshots() const;
 
   /// Removes the patient's tracker from this engine's breakdown map and
@@ -390,11 +367,10 @@ class ReconstructionEngine {
   /// recording into the discarded incoming object, so on this fold path
   /// the patient's breakdown can permanently show those as in_flight —
   /// the documented cost of a submit racing a handoff).  Returns false
-  /// when the
-  /// breakdown is off, the tracker is null, or the patient map is at
-  /// max_tracked_patients capacity (the history is dropped from the
-  /// breakdown; engine-wide counters are unaffected, matching how a new
-  /// patient beyond the cap goes untracked).
+  /// when the tracker is null or the patient map is at max_tracked_patients
+  /// capacity (the history is dropped from the breakdown; engine-wide
+  /// counters are unaffected, matching how a new patient beyond the cap
+  /// goes untracked).
   bool adopt_patient_slo(std::uint32_t patient_id, std::shared_ptr<SloTracker> tracker);
 
   /// Sensing matrices currently cached (bounded by matrix_cache_capacity).
@@ -436,6 +412,10 @@ class ReconstructionEngine {
   int thread_count() const { return static_cast<int>(workers_.size()); }
 
  private:
+  /// Sensing-matrix cache key: (seed, m, n, d, m_eff); see matrices_.
+  using MatrixKey =
+      std::tuple<std::uint64_t, std::size_t, std::size_t, std::size_t, std::size_t>;
+
   /// One window's node for its whole life inside the engine: queued work
   /// entry first, then (same allocation) completion-list node — `result`
   /// is filled in place by the solve and `next` links it into done_.
@@ -496,6 +476,12 @@ class ReconstructionEngine {
   /// by (seed, m, n, d, m_eff).  Construction is a pure function of the
   /// key, so a rebuilt matrix is bit-identical to the evicted one.
   std::shared_ptr<const cs::SensingMatrix> prepare_matrix(const CompressedWindow& window);
+  /// The LRU behind prepare_matrix and solve_matrix_for: a hit is touched
+  /// and returned; a miss runs `build()` outside the lock, and the first
+  /// emplace of a key wins (a racing duplicate build is discarded).
+  /// Evicts past matrix_cache_capacity.
+  template <typename Build>
+  std::shared_ptr<const cs::SensingMatrix> cached_matrix(const MatrixKey& key, Build&& build);
   /// The operator the solve should actually apply for `window`: `full`
   /// itself at full fidelity, or its row-truncated form (cached in the
   /// same LRU) when the window's tier sets effective_m below full rows.
@@ -509,13 +495,13 @@ class ReconstructionEngine {
   /// tier, microseconds (0 when no signal exists yet).
   std::uint64_t charge_estimate_us(const CompressedWindow& window) const;
   /// Demote-first: walks the routine lane demoting queued windows one rung
-  /// down the degrade ladder until the priced backlog fits inside
-  /// degrade_backlog_deadlines (or every routine window is at the bottom
-  /// rung).  Urgent windows are never touched.  No-op unless the ladder
-  /// is non-empty and a deadline is configured.
+  /// down the degrade ladder until the priced backlog fits inside one
+  /// deadline (or every routine window is at the bottom rung).  Urgent
+  /// windows are never touched.  No-op unless the ladder is non-empty and
+  /// a deadline is configured.
   void maybe_degrade_backlog();
   /// The per-patient tracker for `patient_id` (created on first use), or
-  /// nullptr when per_patient_slo is off.
+  /// nullptr when a new id would exceed max_tracked_patients.
   std::shared_ptr<SloTracker> patient_tracker(std::uint32_t patient_id);
   /// Decrements the per-patient pending count for each item's patient and
   /// wakes drain_patient() waiters.
@@ -557,8 +543,6 @@ class ReconstructionEngine {
   // matrix via SensingMatrix::truncated, itself deterministic, so eviction
   // still never changes results).  lru_ orders keys most-recent-first;
   // each map value carries its lru_ position for O(log n) touch.
-  using MatrixKey =
-      std::tuple<std::uint64_t, std::size_t, std::size_t, std::size_t, std::size_t>;
   struct CachedMatrix {
     std::shared_ptr<const cs::SensingMatrix> phi;
     std::list<MatrixKey>::iterator lru_pos;
@@ -634,14 +618,5 @@ struct RecordCompressionConfig {
 std::vector<CompressedWindow> compress_record(const sig::Record& record,
                                               std::uint32_t patient_id,
                                               const RecordCompressionConfig& cfg = {});
-
-/// Shed-exemption fraction a routine window of age `age_ms` has earned
-/// under EngineConfig::shed_starvation_aging == `aging_deadlines` (pure —
-/// unit-testable without an engine).  0 while the window is within its
-/// deadline, then climbing linearly to 1 (fully shed-exempt) at
-/// `aging_deadlines` deadlines of age.  Shed scores are scaled by
-/// (1 - protection), so an aged window loses shed-victim auctions to
-/// younger doomed windows.  Always 0 when aging <= 1 or deadline <= 0.
-double shed_aging_protection(double age_ms, double deadline_ms, double aging_deadlines);
 
 }  // namespace wbsn::host

@@ -16,8 +16,7 @@ using Clock = std::chrono::steady_clock;
 
 ReconstructionFabric::ReconstructionFabric(FabricConfig cfg)
     : cfg_(cfg),
-      topology_(static_cast<std::size_t>(std::max(1, cfg.shards)),
-                static_cast<std::size_t>(std::max(1, cfg.vnodes_per_shard))) {
+      topology_(static_cast<std::size_t>(std::max(1, cfg.shards))) {
   active_.reserve(topology_.slots());
   for (std::size_t i = 0; i < topology_.slots(); ++i) {
     active_.push_back(std::make_shared<ReconstructionEngine>(cfg_.engine));

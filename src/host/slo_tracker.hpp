@@ -55,8 +55,8 @@ struct SloSnapshot {
   /// + in_flight.
   std::uint64_t lost = 0;
   /// Windows solved inside a same-matrix batched FISTA pass of size >= 2
-  /// (each member counts).  The observability hook for submit-time seed
-  /// grouping: grouped_windows / completed is the batching hit rate.
+  /// (each member counts).  The observability hook for batch_windows:
+  /// grouped_windows / completed is the batching hit rate.
   std::uint64_t grouped_windows = 0;
   /// Windows completed at a degraded solve tier (cs::SolveTier::tier != 0)
   /// — demoted down the engine's degrade ladder, or submitted pre-degraded.

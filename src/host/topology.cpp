@@ -6,10 +6,7 @@
 
 namespace wbsn::host {
 
-Topology::Topology(std::size_t shards, std::size_t vnodes_per_shard)
-    : vnodes_per_shard_(vnodes_per_shard) {
-  resize(shards);
-}
+Topology::Topology(std::size_t shards) { resize(shards); }
 
 std::size_t Topology::live_count() const {
   return static_cast<std::size_t>(std::count(live_.begin(), live_.end(), true));
@@ -36,7 +33,7 @@ std::size_t Topology::known_patients() const {
 
 std::uint32_t Topology::resize(std::size_t shards) {
   shards = std::max<std::size_t>(1, shards);
-  rings_.emplace_back(shards, vnodes_per_shard_);
+  rings_.emplace_back(shards, kVnodesPerShard);
   live_.assign(shards, true);
   return epoch();
 }
@@ -48,7 +45,7 @@ bool Topology::fail(std::size_t slot) {
     if (i != slot && live_[i]) survivors.push_back(i);
   }
   if (survivors.empty()) return false;
-  rings_.emplace_back(survivors, vnodes_per_shard_);
+  rings_.emplace_back(survivors, kVnodesPerShard);
   live_[slot] = false;
   return true;
 }

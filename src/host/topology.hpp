@@ -61,9 +61,15 @@ class Topology {
     return ticket & ((std::uint64_t{1} << kLocalTicketBits) - 1);
   }
 
-  /// Epoch 0: `shards` live slots (clamped to >= 1), each contributing
-  /// `vnodes_per_shard` ring points (clamped to >= 1).
-  Topology(std::size_t shards, std::size_t vnodes_per_shard);
+  /// Ring points per shard, in every epoch, for both front ends: more
+  /// points smooth the load split and the per-resize move fraction toward
+  /// the ideal 1/N at the cost of a slightly larger routing table.
+  /// Placement is a pure function of (patient_id, shard set, this), so it
+  /// is a fleet-wide constant rather than a per-front-end setting.
+  static constexpr std::size_t kVnodesPerShard = 64;
+
+  /// Epoch 0: `shards` live slots (clamped to >= 1).
+  explicit Topology(std::size_t shards);
 
   std::uint32_t epoch() const { return static_cast<std::uint32_t>(rings_.size() - 1); }
 
@@ -114,7 +120,6 @@ class Topology {
   const CrashLedger& crashed() const { return crashed_; }
 
  private:
-  std::size_t vnodes_per_shard_;
   std::vector<HashRing> rings_;  ///< rings_[e] routes epoch e; never empty.
   std::vector<bool> live_;       ///< Current epoch's slots.
   CrashLedger crashed_;

@@ -48,7 +48,7 @@ bool RoutingClient::connect(std::vector<ShardEndpoint> shards) {
     conns.push_back(std::move(conn));
   }
   conns_ = std::move(conns);
-  topology_.emplace(conns_.size(), cfg_.vnodes_per_shard);
+  topology_.emplace(conns_.size());
   return true;
 }
 
@@ -449,13 +449,13 @@ bool RoutingClient::read_poll_results(Conn& conn) {
   }
 }
 
-bool RoutingClient::sweep_shard(Conn& conn) {
+bool RoutingClient::sweep_shard(Conn& conn, bool may_retry) {
   (void)sync_pipeline(conn);
   std::vector<std::uint8_t> buf;
   if (conn.version >= 2) {
     // One POLL_MANY, one RESULT_BATCH — K results per round trip.
-    encode_poll_many(buf, cfg_.poll_batch);
-    if (!send_request(conn, buf, /*may_retry=*/true)) return false;
+    encode_poll_many(buf, kPollBatch);
+    if (!send_request(conn, buf, may_retry)) return false;
     std::vector<std::uint8_t> frame;
     FrameView view;
     std::vector<host::WindowResult> results;
@@ -467,15 +467,17 @@ bool RoutingClient::sweep_shard(Conn& conn) {
     for (auto& result : results) accept_result(conn, std::move(result));
     return true;
   }
-  encode_poll(buf, cfg_.poll_batch);
-  if (!send_request(conn, buf, /*may_retry=*/true)) return false;
+  encode_poll(buf, kPollBatch);
+  if (!send_request(conn, buf, may_retry)) return false;
   return read_poll_results(conn);
 }
 
 void RoutingClient::sweep_all() {
   for (std::size_t shard = 0; shard < conns_.size(); ++shard) {
     if (!conns_[shard]) continue;
-    if (!sweep_shard(*conns_[shard]) && cfg_.auto_failover) (void)fail_shard(shard);
+    if (!sweep_shard(*conns_[shard], /*may_retry=*/true) && cfg_.auto_failover) {
+      (void)fail_shard(shard);
+    }
   }
 }
 
@@ -651,7 +653,6 @@ bool RoutingClient::retire(Conn& conn) {
   // Pull out every result still parked on the shard (all its patients were
   // just drained, so only the completion list can be non-empty), fold its
   // final counters into the retired accumulator, and dismiss it.
-  std::vector<std::uint8_t> buf;
   for (;;) {
     SnapshotPayload snap;
     if (!fetch_snapshot(conn, snap)) return false;
@@ -659,12 +660,9 @@ bool RoutingClient::retire(Conn& conn) {
       accumulate(retired_, snap);
       break;
     }
-    buf.clear();
-    encode_poll(buf, cfg_.poll_batch);
-    if (!send_request(conn, buf, /*may_retry=*/false)) return false;
-    if (!read_poll_results(conn)) return false;
+    if (!sweep_shard(conn, /*may_retry=*/false)) return false;
   }
-  buf.clear();
+  std::vector<std::uint8_t> buf;
   encode_bye(buf);
   if (send_request(conn, buf, /*may_retry=*/false)) {
     std::vector<std::uint8_t> frame;

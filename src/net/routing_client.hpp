@@ -8,8 +8,8 @@
 //   * Every routing decision — ring, epochs, tickets, movers, the
 //     failover flip, the crash fold — comes from host::Topology, the
 //     same core the in-process fabric uses.  The ring is rebuilt locally
-//     from (shard_count, vnodes_per_shard), so client and any audit tool
-//     agree on placement without a metadata service.
+//     from the shard count and host::Topology::kVnodesPerShard, so client
+//     and any audit tool agree on placement without a metadata service.
 //   * set_topology() is ReconstructionFabric::resize() over sockets: the
 //     epoch flips first, then every mover is drained on its old shard
 //     (DRAIN_PATIENT) and its SLO history moves (EXTRACT_SLO, ADOPT_SLO;
@@ -76,9 +76,6 @@ struct ShardEndpoint {
 };
 
 struct RoutingClientConfig {
-  /// Must match the in-process fabric's FabricConfig::vnodes_per_shard for
-  /// placement parity with audit tooling.
-  std::size_t vnodes_per_shard = 64;
   int connect_timeout_ms = 5000;
   /// Per-operation socket send/recv timeout.  Generous by default: a
   /// DRAIN_PATIENT response legitimately waits out a backlog.
@@ -106,8 +103,6 @@ struct RoutingClientConfig {
   /// mid-stream crash can be scripted and replayed bit-for-bit.  Unset in
   /// production.
   std::function<bool(std::size_t, std::uint64_t)> fault_inject;
-  /// Results requested per POLL sweep of one shard.
-  std::uint32_t poll_batch = 64;
   /// Highest wire version offered in HELLO.  Default: everything this
   /// build speaks.  Set 1 to force v1 framing fleet-wide (staged
   /// rollouts, mixed-version tests); negotiation still lands on the
@@ -129,6 +124,9 @@ struct RoutingClientConfig {
 
 class RoutingClient {
  public:
+  /// Results requested per POLL / POLL_MANY sweep of one shard.
+  static constexpr std::uint32_t kPollBatch = 64;
+
   explicit RoutingClient(RoutingClientConfig cfg = {});
   ~RoutingClient();
 
@@ -310,8 +308,10 @@ class RoutingClient {
   bool read_frame(Conn& conn, std::vector<std::uint8_t>& frame, FrameView& view);
   /// Reads result frames into pending_ until POLL_END.
   bool read_poll_results(Conn& conn);
-  /// One POLL/POLL_MANY round trip pulling results into pending_.
-  bool sweep_shard(Conn& conn);
+  /// One POLL/POLL_MANY round trip pulling results into pending_: one
+  /// RESULT_BATCH on v2, RESULT frames up to POLL_END on v1.  `may_retry`
+  /// as for send_request.
+  bool sweep_shard(Conn& conn, bool may_retry);
   /// sweep_shard on every live shard, failing over dead ones under
   /// cfg.auto_failover.
   void sweep_all();

@@ -231,9 +231,7 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
                    true);
         return;
       }
-      if (max_results == 0 || max_results > cfg_.max_poll_results) {
-        max_results = cfg_.max_poll_results;
-      }
+      if (max_results == 0 || max_results > kMaxPollResults) max_results = kMaxPollResults;
       if (!many) {
         // v1: one RESULT frame per window, then POLL_END.
         encode_poll_end(tx, poll_results(tx, max_results, SIZE_MAX, encode_result));
@@ -339,8 +337,7 @@ void ShardServer::handle_frame(Connection& conn, const FrameView& frame) {
         // Per-patient entries cover the patients actually backed up on this
         // shard, so a client can steer just those nodes; each carries the
         // same shard-wide advisory today.
-        const std::size_t cap =
-            std::min<std::size_t>(max_entries, cfg_.max_poll_results);
+        const std::size_t cap = std::min<std::size_t>(max_entries, kMaxPollResults);
         for (const std::uint32_t patient : engine_->pending_patients(cap)) {
           ack.entries.push_back({patient, ack.advisory_cr_centi});
         }

@@ -49,8 +49,6 @@ struct ShardServerConfig {
   WireEncodeOptions wire{};
   /// Exit the run() loop after answering a BYE frame (daemon mode).
   bool stop_on_bye = false;
-  /// Upper bound on results returned per POLL, whatever the client asked.
-  std::uint32_t max_poll_results = 4096;
   /// Ceiling on the wire version negotiated per connection (the HELLO_ACK
   /// carries min(peer max, this)).  Default: everything this build speaks.
   /// Set 1 to force v1 framing — how mixed-version tests prove a v2 client
@@ -78,6 +76,10 @@ struct ShardServerConfig {
 
 class ShardServer {
  public:
+  /// Upper bound on results returned per POLL / POLL_MANY (and on the
+  /// per-patient entries of one CR_HINT_ACK), whatever the client asked.
+  static constexpr std::uint32_t kMaxPollResults = 4096;
+
   explicit ShardServer(ShardServerConfig cfg);
   ~ShardServer();
 

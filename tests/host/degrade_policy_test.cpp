@@ -63,7 +63,6 @@ EngineConfig pressured_engine(bool ladder) {
   cfg.slo.deadline_ms = 10.0;
   cfg.shed_solve_estimate_ms = 10.0;  // Pin the predictor: no EWMA warmup.
   if (ladder) cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
-  cfg.degrade_backlog_deadlines = 1.0;
   return cfg;
 }
 
@@ -160,7 +159,6 @@ TEST(DegradePolicy, DemotionRepricesTheBacklogUnderMeasuredCosts) {
   cfg.queue_capacity = 64;
   cfg.slo.deadline_ms = 0.05;  // Any measured backlog overshoots.
   cfg.degrade_tiers = {{/*cr_percent=*/70.0, /*iteration_cap=*/20}};
-  cfg.degrade_backlog_deadlines = 1.0;
   ReconstructionEngine engine(cfg);
 
   auto windows = ecg_windows(5);

@@ -16,7 +16,6 @@
 namespace wbsn::host {
 namespace {
 
-constexpr std::size_t kVnodes = 64;
 constexpr std::uint32_t kPatients = 2000;
 
 bool same_slot(std::size_t old_slot, std::size_t new_slot) { return old_slot == new_slot; }
@@ -44,13 +43,13 @@ TEST(Topology, TicketFieldsRoundTripAndTileAllBits) {
 }
 
 TEST(Topology, EveryEpochKeepsItsRingForResultTickets) {
-  Topology topology(3, kVnodes);
+  Topology topology(3);
   EXPECT_EQ(topology.epoch(), 0u);
   EXPECT_EQ(topology.slots(), 3u);
   EXPECT_EQ(topology.live_count(), 3u);
 
-  const HashRing ring3(3, kVnodes);
-  const HashRing ring5(5, kVnodes);
+  const HashRing ring3(3, Topology::kVnodesPerShard);
+  const HashRing ring5(5, Topology::kVnodesPerShard);
   EXPECT_EQ(topology.resize(5), 1u);
   EXPECT_EQ(topology.slots(), 5u);
   for (std::uint32_t p = 0; p < kPatients; ++p) {
@@ -78,7 +77,7 @@ TEST(Topology, EveryEpochKeepsItsRingForResultTickets) {
 }
 
 TEST(Topology, MoversFollowTheCallersShardIdentity) {
-  Topology topology(4, kVnodes);
+  Topology topology(4);
   note_all(topology);
   EXPECT_EQ(topology.known_patients(), kPatients);
 
@@ -107,7 +106,7 @@ TEST(Topology, MoversFollowTheCallersShardIdentity) {
 }
 
 TEST(Topology, FailoverRehomesOnlyTheDeadSlotAndKeepsTheLastSurvivor) {
-  Topology topology(3, kVnodes);
+  Topology topology(3);
   note_all(topology);
   EXPECT_FALSE(topology.fail(3)) << "not a slot";
 
@@ -142,7 +141,7 @@ TEST(Topology, FailoverRehomesOnlyTheDeadSlotAndKeepsTheLastSurvivor) {
 }
 
 TEST(Topology, CrashFoldConservesEveryAdmittedWindow) {
-  Topology topology(2, kVnodes);
+  Topology topology(2);
   CrashLedger tally;
   tally.submitted = 10;
   tally.completed = 4;
@@ -170,7 +169,7 @@ TEST(Topology, CrashFoldConservesEveryAdmittedWindow) {
 }
 
 TEST(Topology, ConcurrentNotesAreAllRecorded) {
-  Topology topology(2, kVnodes);
+  Topology topology(2);
   std::vector<std::thread> writers;
   for (std::uint32_t t = 0; t < 4; ++t) {
     writers.emplace_back([&topology, t] {

@@ -232,66 +232,73 @@ TEST(RoutingClient, LiveGrowAndShrinkConserveEverything) {
   const auto traffic = fleet_traffic(/*patients=*/6, /*beats_per_patient=*/3);
   const auto reference = serial_reference(traffic);
 
-  LocalShard a(1), b(1), c(1);
-  RoutingClient client(client_config());
-  ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
+  // Once per wire version: retiring a shard sweeps it with POLL on v1 and
+  // POLL_MANY -> RESULT_BATCH on v2.
+  for (const std::uint8_t version : {std::uint8_t{1}, kWireVersionMax}) {
+    SCOPED_TRACE(testing::Message() << "max_wire_version=" << int{version});
+    LocalShard a(1), b(1), c(1);
+    RoutingClientConfig cfg = client_config();
+    cfg.max_wire_version = version;
+    RoutingClient client(cfg);
+    ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
 
-  std::map<WindowKey, WindowResult> results;
-  const auto keep = [&](WindowResult&& r) {
-    const WindowKey key{r.patient_id, r.window_index};
-    EXPECT_TRUE(results.emplace(key, std::move(r)).second) << "duplicate result";
-  };
+    std::map<WindowKey, WindowResult> results;
+    const auto keep = [&](WindowResult&& r) {
+      const WindowKey key{r.patient_id, r.window_index};
+      EXPECT_TRUE(results.emplace(key, std::move(r)).second) << "duplicate result";
+    };
 
-  const std::size_t third = traffic.size() / 3;
-  std::size_t i = 0;
-  for (; i < third; ++i) {
-    CompressedWindow copy = traffic[i];
-    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
-    if (auto r = client.poll()) keep(std::move(*r));
+    const std::size_t third = traffic.size() / 3;
+    std::size_t i = 0;
+    for (; i < third; ++i) {
+      CompressedWindow copy = traffic[i];
+      ASSERT_TRUE(client.submit(std::move(copy)).has_value());
+      if (auto r = client.poll()) keep(std::move(*r));
+    }
+
+    // Live grow 2 -> 3 with traffic in flight.
+    ASSERT_TRUE(client.set_topology({a.endpoint(), b.endpoint(), c.endpoint()}));
+    EXPECT_EQ(client.epoch(), 1u);
+    EXPECT_EQ(client.shard_count(), 3u);
+    for (; i < 2 * third; ++i) {
+      CompressedWindow copy = traffic[i];
+      ASSERT_TRUE(client.submit(std::move(copy)).has_value());
+      if (auto r = client.poll()) keep(std::move(*r));
+    }
+
+    // Live shrink 3 -> 1: shards a and c retire, their parked results and
+    // counters fold into the client.
+    ASSERT_TRUE(client.set_topology({b.endpoint()}));
+    EXPECT_EQ(client.epoch(), 2u);
+    EXPECT_EQ(client.shard_count(), 1u);
+    for (; i < traffic.size(); ++i) {
+      CompressedWindow copy = traffic[i];
+      ASSERT_TRUE(client.submit(std::move(copy)).has_value());
+    }
+
+    for (auto&& r : client.drain()) keep(std::move(r));
+    ASSERT_EQ(results.size(), traffic.size());
+    for (const auto& [key, expected] : reference) {
+      const auto found = results.find(key);
+      ASSERT_NE(found, results.end());
+      EXPECT_TRUE(bit_identical(found->second.signal, expected.signal))
+          << "patient " << key.first << " window " << key.second
+          << " diverged across reshard";
+      EXPECT_EQ(found->second.iterations, expected.iterations);
+    }
+
+    // Counter conservation across the whole topology history, including the
+    // two retired shards' folded snapshots.
+    const auto agg = client.aggregate_snapshot();
+    EXPECT_EQ(agg.submitted, traffic.size());
+    EXPECT_EQ(agg.completed, traffic.size());
+    EXPECT_EQ(agg.retrieved, traffic.size());
+    EXPECT_EQ(agg.rejected, 0u);
+    EXPECT_EQ(agg.shed_routine + agg.shed_urgent, 0u);
+    EXPECT_EQ(agg.unsolved, 0u);
+    EXPECT_EQ(agg.ready, 0u);
+    client.shutdown(/*send_bye=*/false);
   }
-
-  // Live grow 2 -> 3 with traffic in flight.
-  ASSERT_TRUE(client.set_topology({a.endpoint(), b.endpoint(), c.endpoint()}));
-  EXPECT_EQ(client.epoch(), 1u);
-  EXPECT_EQ(client.shard_count(), 3u);
-  for (; i < 2 * third; ++i) {
-    CompressedWindow copy = traffic[i];
-    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
-    if (auto r = client.poll()) keep(std::move(*r));
-  }
-
-  // Live shrink 3 -> 1: shards a and c retire, their parked results and
-  // counters fold into the client.
-  ASSERT_TRUE(client.set_topology({b.endpoint()}));
-  EXPECT_EQ(client.epoch(), 2u);
-  EXPECT_EQ(client.shard_count(), 1u);
-  for (; i < traffic.size(); ++i) {
-    CompressedWindow copy = traffic[i];
-    ASSERT_TRUE(client.submit(std::move(copy)).has_value());
-  }
-
-  for (auto&& r : client.drain()) keep(std::move(r));
-  ASSERT_EQ(results.size(), traffic.size());
-  for (const auto& [key, expected] : reference) {
-    const auto found = results.find(key);
-    ASSERT_NE(found, results.end());
-    EXPECT_TRUE(bit_identical(found->second.signal, expected.signal))
-        << "patient " << key.first << " window " << key.second
-        << " diverged across reshard";
-    EXPECT_EQ(found->second.iterations, expected.iterations);
-  }
-
-  // Counter conservation across the whole topology history, including the
-  // two retired shards' folded snapshots.
-  const auto agg = client.aggregate_snapshot();
-  EXPECT_EQ(agg.submitted, traffic.size());
-  EXPECT_EQ(agg.completed, traffic.size());
-  EXPECT_EQ(agg.retrieved, traffic.size());
-  EXPECT_EQ(agg.rejected, 0u);
-  EXPECT_EQ(agg.shed_routine + agg.shed_urgent, 0u);
-  EXPECT_EQ(agg.unsolved, 0u);
-  EXPECT_EQ(agg.ready, 0u);
-  client.shutdown(/*send_bye=*/false);
 }
 
 TEST(RoutingClient, SloHistoryFollowsThePatientAcrossShards) {
