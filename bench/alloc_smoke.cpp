@@ -160,6 +160,13 @@ template <typename SubmitFn, typename PollFn>
 PhaseReport run_phase(const char* name, const Traffic& traffic,
                       host::PayloadPool& pool, const Capture& reference,
                       SubmitFn&& submit, PollFn&& poll) {
+  // Prime the result-signal freelist to a pass's worst case: every window
+  // of a pass solved before the first poll.  How many results are
+  // outstanding at once depends on thread timing, so warmup alone cannot
+  // be trusted to reach that high-water mark before the measured passes.
+  for (std::size_t i = 0; i < traffic.templates.size(); ++i) {
+    pool.recycle_signal(std::vector<double>(traffic.window_samples));
+  }
   Capture warm(traffic);
   for (int pass = 0; pass < kWarmupPasses; ++pass) {
     run_pass(traffic, pool, warm, submit, poll);
@@ -229,7 +236,6 @@ int main(int argc, char** argv) {
     auto pool = std::make_shared<host::PayloadPool>();
     host::EngineConfig cfg;
     cfg.threads = 0;
-    cfg.batch_windows = 0;  // Auto-sizing exercises the batched arena path.
     cfg.payload_pool = pool;
     host::ReconstructionEngine engine(cfg);
     reports.push_back(run_phase(
@@ -241,7 +247,6 @@ int main(int argc, char** argv) {
     auto pool = std::make_shared<host::PayloadPool>();
     host::EngineConfig cfg;
     cfg.threads = 1;
-    cfg.batch_windows = 0;
     cfg.payload_pool = pool;
     host::ReconstructionEngine engine(cfg);
     reports.push_back(run_phase(
@@ -254,7 +259,6 @@ int main(int argc, char** argv) {
     host::FabricConfig cfg;
     cfg.shards = 2;
     cfg.engine.threads = 1;
-    cfg.engine.batch_windows = 0;
     cfg.engine.payload_pool = pool;
     host::ReconstructionFabric fabric(cfg);
     reports.push_back(run_phase(

@@ -169,23 +169,6 @@ void BM_KernApplyAdjoint(benchmark::State& state) {
 }
 BENCHMARK(BM_KernApplyAdjoint)->ArgName("avx2")->Arg(0)->Arg(1);
 
-void BM_KernApplyBatch8(benchmark::State& state) {
-  BackendPin pin(state, backend_of(state));
-  const auto phi = bench_matrix();
-  constexpr std::size_t kBatch = 8;
-  std::vector<double> x(kWindow * kBatch);
-  sig::Rng rng(13);
-  for (auto& v : x) v = rng.normal();
-  std::vector<double> y(kRowsCr50 * kBatch);
-  for (auto _ : state) {
-    phi.apply_batch(x, kBatch, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(phi.nonzeros() * kBatch));
-}
-BENCHMARK(BM_KernApplyBatch8)->ArgName("avx2")->Arg(0)->Arg(1);
-
 void BM_KernDwtForward(benchmark::State& state) {
   BackendPin pin(state, backend_of(state));
   const auto x = bench_window(14);

@@ -585,7 +585,7 @@ int main(int argc, char** argv) {
   net::RoutingClientConfig v2_cfg = v1_cfg;
   v2_cfg.max_wire_version = net::kWireVersionMax;
   v2_cfg.pipeline_depth = pipeline;
-  v2_cfg.submit_batch_windows = batch_frames;
+  v2_cfg.windows_per_submit_frame = batch_frames;
 
   // Best-of-N on the submit clock: a shared-core container's scheduler
   // can land anywhere in a single run, so each repeat re-runs both phases

@@ -56,7 +56,7 @@ import tempfile
 
 HOST_THROUGHPUT_ARGS = [
     "8", "12", "50", "--poisson", "400", "--threads", "2", "--shards", "2",
-    "--batch", "0", "--pool",
+    "--pool",
 ]
 NET_LOOPBACK_ARGS = [
     "16", "24", "75", "--shards", "1", "--threads", "1",

@@ -74,7 +74,7 @@ int dwt_max_levels(std::size_t n) {
 // The Db4 lifting steps live in the kern layer (kern/backend.hpp): the
 // loops below only orchestrate the level cascade, so the per-output
 // arithmetic — and thus the bits — comes from the runtime-dispatched
-// backend, identical across scalar/AVX2 and batch widths.
+// backend, identical across scalar/AVX2.
 
 void dwt_forward_into(std::span<const double> x, int levels, std::span<double> out,
                       std::span<double> scratch) {
@@ -117,56 +117,6 @@ std::vector<double> dwt_inverse(std::span<const double> coeffs, int levels) {
   std::vector<double> x(coeffs.size());
   std::vector<double> buf(coeffs.size());
   dwt_inverse_into(coeffs, levels, x, buf);
-  return x;
-}
-
-void dwt_forward_batch_into(std::span<const double> x, std::size_t batch, int levels,
-                            std::span<double> out, std::span<double> scratch) {
-  assert(batch > 0 && x.size() % batch == 0);
-  const std::size_t n = x.size() / batch;
-  assert(levels >= 0 && levels <= dwt_max_levels(n));
-  assert(out.size() >= x.size() && scratch.size() >= x.size());
-  const auto& k = kern::ops();
-  std::copy(x.begin(), x.end(), out.begin());
-  std::size_t len = n;
-  for (int level = 0; level < levels; ++level) {
-    const std::size_t half = len / 2;
-    k.dwt_step_batch(out.data(), len, batch, scratch.data(), scratch.data() + half * batch);
-    std::copy(scratch.begin(), scratch.begin() + static_cast<long>(len * batch), out.begin());
-    len = half;
-  }
-}
-
-void dwt_inverse_batch_into(std::span<const double> coeffs, std::size_t batch, int levels,
-                            std::span<double> out, std::span<double> scratch) {
-  assert(batch > 0 && coeffs.size() % batch == 0);
-  const std::size_t n = coeffs.size() / batch;
-  assert(levels >= 0 && levels <= dwt_max_levels(n));
-  assert(out.size() >= coeffs.size() && scratch.size() >= coeffs.size());
-  const auto& k = kern::ops();
-  std::copy(coeffs.begin(), coeffs.end(), out.begin());
-  std::size_t len = n >> levels;
-  for (int level = 0; level < levels; ++level) {
-    const std::size_t full = 2 * len;
-    k.idwt_step_batch(out.data(), out.data() + len * batch, len, batch, scratch.data());
-    std::copy(scratch.begin(), scratch.begin() + static_cast<long>(full * batch), out.begin());
-    len = full;
-  }
-}
-
-std::vector<double> dwt_forward_batch(std::span<const double> x, std::size_t batch,
-                                      int levels) {
-  std::vector<double> coeffs(x.size());
-  std::vector<double> buf(x.size());
-  dwt_forward_batch_into(x, batch, levels, coeffs, buf);
-  return coeffs;
-}
-
-std::vector<double> dwt_inverse_batch(std::span<const double> coeffs, std::size_t batch,
-                                      int levels) {
-  std::vector<double> x(coeffs.size());
-  std::vector<double> buf(coeffs.size());
-  dwt_inverse_batch_into(coeffs, batch, levels, x, buf);
   return x;
 }
 

@@ -17,13 +17,9 @@
 //     windows tagged cs::WindowPriority::kUrgent (the AF-alarm pathway)
 //     jump ahead of routine telemetry, FIFO within each lane.  A fixed
 //     pool of worker threads drains it persistently — there is no
-//     per-batch barrier, a worker starts the next window the moment it
-//     finishes the previous one.  With batch_windows > 1 a worker
-//     opportunistically pops several queued windows at once and solves
-//     same-matrix groups in one batched FISTA pass (cs::fista_solve_batch)
-//     whose per-window results are bit-identical to solo solves; with
-//     batch_windows == 0 each worker auto-sizes its pop from the current
-//     backlog depth (latency when idle, throughput under load).
+//     per-batch barrier, a worker pops one window and starts it the
+//     moment it finishes the previous one: one FISTA solve per window
+//     (cs::fista_solve_into), on a per-worker arena.
 //   * Under overload, admission is deadline-aware when deadline_shedding
 //     is on: instead of bouncing the newest arrival, try_submit sheds the
 //     queued window whose predicted completion (backlog position x the
@@ -125,11 +121,8 @@ struct WindowResult {
   std::vector<double> signal;     ///< Reconstructed time-domain window.
   double snr_db = 0.0;            ///< NaN when no reference was attached.
   int iterations = 0;
-  /// Solve wall time, excluding queue wait.  With batch_windows > 1 this
-  /// is the wall time of the whole batched solve the window rode in (the
-  /// compute was shared, so a per-window split would be fiction): expect
-  /// it to exceed a solo solve even when throughput improved.  e2e_ms is
-  /// the SLO-relevant number.
+  /// This window's solve wall time, excluding queue wait.  e2e_ms is the
+  /// SLO-relevant number.
   double latency_ms = 0.0;
   double e2e_ms = 0.0;            ///< Enqueue -> complete (the SLO latency).
 };
@@ -180,19 +173,6 @@ struct EngineConfig {
   /// Admission bound: maximum windows in flight (submitted but not yet
   /// solved); see in_flight_capacity().
   std::size_t queue_capacity = 1024;
-  /// Windows a worker may pack into one batched FISTA solve
-  /// (cs::fista_solve_batch).  Workers drain opportunistically: up to
-  /// this many queued windows are popped at once, grouped by sensing
-  /// matrix, and windows sharing a matrix solve together so the packed
-  /// plan streams once across the group.  Batched results are
-  /// bit-identical to solo solves, so any value preserves the
-  /// determinism contract; 1 (the default) disables packing.
-  /// 0 enables backlog-driven auto-sizing: each worker pops
-  /// ceil(backlog / threads) windows, clamped to
-  /// [1, ReconstructionEngine::kMaxAutoBatch] — solo solves for latency
-  /// when the queue is shallow, wide batches for throughput when it is
-  /// deep.
-  int batch_windows = 1;
   /// Deadline-aware load shedding.  When admission is at capacity and the
   /// backlog predicts a deadline miss, drop the queued window with the
   /// worst predicted overshoot (routine lane first; the urgent lane is
@@ -216,8 +196,8 @@ struct EngineConfig {
   /// slo.deadline_ms > 0 to act.
   std::vector<DegradeTierSpec> degrade_tiers;
   /// Invoked (from a worker thread) every time the engine makes progress a
-  /// blocked producer could be waiting on: a batch of results was
-  /// published and its in-flight slots released, or a queued window was
+  /// blocked producer could be waiting on: a result was
+  /// published and its in-flight slot released, or a queued window was
   /// shed.  Fires AFTER the slots are released, so a hook-driven retry of
   /// try_submit_step() that still fails proves the engine was full again,
   /// not that the wakeup raced the release.  Used by the shard server to
@@ -257,9 +237,6 @@ struct PatientSlo {
 
 class ReconstructionEngine {
  public:
-  /// Upper bound on an auto-sized batch (EngineConfig::batch_windows == 0).
-  static constexpr std::size_t kMaxAutoBatch = 32;
-
   explicit ReconstructionEngine(EngineConfig cfg = {});
   ~ReconstructionEngine();
 
@@ -445,13 +422,8 @@ class ReconstructionEngine {
   }
 
   void worker_loop();
-  /// Pops up to one batch of pending windows and solves them; false when
-  /// none was pending.
+  /// Pops one pending window and solves it; false when none was pending.
   bool help_some();
-  /// Tops `items` up to this worker's batch width (static batch_windows,
-  /// or backlog/threads when auto-sizing) from the lane queue, urgent
-  /// first.  At least one already-popped item is passed in by the caller.
-  void pop_batch(std::vector<WorkItem*>& items);
   /// Reserves one in-flight slot; false when at capacity.
   bool reserve_slot();
   /// Admission core shared by try_submit (shedding per config, rejects
@@ -465,13 +437,9 @@ class ReconstructionEngine {
   /// window is predicted to miss (or no solve-time signal exists yet).
   /// Only an urgent arrival may displace an urgent window.
   bool shed_predicted_miss(cs::WindowPriority arrival_priority);
-  /// Solves the same-matrix group containing items[0] in one
-  /// cs::fista_solve_batch call (bit-identical to solo solves) and
-  /// requeues the rest for other workers, so a mixed-matrix pop neither
-  /// serializes foreign groups behind one worker nor delays their
-  /// publication.  Requeueing cannot fail: every popped item still holds
-  /// its in-flight ring reservation.
-  void process_batch(std::vector<WorkItem*>& items);
+  /// Solves one popped window at its tier, records it, publishes the
+  /// result to done_ and releases its in-flight slot.
+  void process_one(WorkItem* item);
   /// Builds/reuses the sensing matrix a window needs; bounded LRU keyed
   /// by (seed, m, n, d, m_eff).  Construction is a pure function of the
   /// key, so a rebuilt matrix is bit-identical to the evicted one.

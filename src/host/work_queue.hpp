@@ -1,6 +1,6 @@
 // Work queues for the host-side reconstruction engine.
 //
-//  * RingDeque — grow-only circular buffer with deque semantics.  Unlike
+//  * RingDeque — grow-only circular FIFO buffer.  Unlike
 //    std::deque (which allocates a fresh block every ~64 pointer pushes
 //    even at steady occupancy), its storage is a single power-of-two array
 //    that doubles on overflow and never shrinks, so a queue cycling at a
@@ -10,7 +10,7 @@
 //  * TwoLaneWorkQueue — two FIFO lanes (urgent ahead of routine) under one
 //    mutex.  Pop order is strict priority: every urgent window drains
 //    before any routine one.  The mutex buys what a lock-free ring cannot offer:
-//    exact backlog depth (batch auto-sizing), in-place walks of the
+//    exact backlog depth, in-place walks of the
 //    routine lane (degrade demotion), and mid-queue extraction
 //    (deadline-aware shed victims).  Critical sections are a few pointer
 //    moves while the consumer's unit of work is a millisecond-scale FISTA
@@ -26,8 +26,8 @@
 
 namespace wbsn::host {
 
-/// Grow-only circular buffer with deque semantics (push/pop at both the
-/// front and the back, random access in pop order).  Capacity is a power
+/// Grow-only circular FIFO buffer (push at the back, pop at the front,
+/// random access and mid-queue erase in pop order).  Capacity is a power
 /// of two that doubles when full and never shrinks, so steady-state
 /// cycling at any depth below the high-water mark allocates nothing.
 /// Not thread-safe — callers lock (TwoLaneWorkQueue wraps it in a mutex).
@@ -40,13 +40,6 @@ class RingDeque {
   void push_back(T value) {
     reserve_one();
     buf_[(head_ + size_) & mask()] = std::move(value);
-    ++size_;
-  }
-
-  void push_front(T value) {
-    reserve_one();
-    head_ = (head_ + cap() - 1) & mask();
-    buf_[head_] = std::move(value);
     ++size_;
   }
 
@@ -109,14 +102,6 @@ class TwoLaneWorkQueue {
     lane(urgent).push_back(std::move(value));
   }
 
-  /// Re-inserts at the front of its lane — used when a consumer popped an
-  /// item it cannot process yet (e.g. a foreign-matrix window in a batched
-  /// pop), so the item keeps its queue age rather than going to the back.
-  void push_front(T value, bool urgent) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    lane(urgent).push_front(std::move(value));
-  }
-
   bool try_pop(T& out) {
     std::lock_guard<std::mutex> lk(mutex_);
     for (auto* q : {&urgent_, &routine_}) {
@@ -127,21 +112,6 @@ class TwoLaneWorkQueue {
       }
     }
     return false;
-  }
-
-  /// Pops up to `max` items in priority order into `out` (appended).
-  /// Returns the number popped.
-  std::size_t pop_some(std::vector<T>& out, std::size_t max) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    std::size_t popped = 0;
-    for (auto* q : {&urgent_, &routine_}) {
-      while (popped < max && !q->empty()) {
-        out.push_back(std::move(q->front()));
-        q->pop_front();
-        ++popped;
-      }
-    }
-    return popped;
   }
 
   /// Removes and returns the queued item maximizing `score`, considering

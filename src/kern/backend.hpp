@@ -24,11 +24,8 @@
 //   * Elementwise kernels are single-rounded expressions (no FMA; the
 //     kern TUs are compiled with -ffp-contract=off).
 //
-// Batched layout: the *_batch kernels operate on windows interleaved
-// element-major (X[i * batch + b] is element i of window b).  Per-window
-// math follows the same canonical orders, so results are bit-identical
-// across batch widths — batch = 1 reproduces the single-window kernels
-// exactly.
+// Every kernel works on one window: the solver runs one FISTA solve per
+// measurement window, so there is no multi-window layout to keep in step.
 #pragma once
 
 #include <cstddef>
@@ -58,27 +55,16 @@ struct Ops {
                     std::size_t n);
   /// a[i] = copysign(max(|a[i]| - tau, 0), a[i]).
   void (*soft_threshold)(double* a, std::size_t n, double tau);
-  /// Interleaved batch: element j belongs to window j % batch and uses
-  /// tau[j % batch].
-  void (*soft_threshold_batch)(double* a, std::size_t n, std::size_t batch,
-                               const double* tau);
 
   // --- Fused FISTA momentum ------------------------------------------------
   /// z[i] = a[i] + beta * (a[i] - a_prev[i]); *delta_sq = Σ (a - a_prev)²,
   /// *scale_sq = Σ a², both in canonical lane order (no epsilon added).
   void (*momentum)(const double* a, const double* a_prev, double* z, double beta,
                    std::size_t n, double* delta_sq, double* scale_sq);
-  /// Batched: per-window sums land in delta_sq[b] / scale_sq[b].
-  void (*momentum_batch)(const double* a, const double* a_prev, double* z, double beta,
-                         std::size_t n, std::size_t batch, double* delta_sq,
-                         double* scale_sq);
 
   // --- Sparse sensing operator ---------------------------------------------
   /// y[o] = Σ_taps sgn · x[idx] over the plan (y fully overwritten).
   void (*spmv)(const SpmvPlan& plan, const double* x, double* y);
-  /// Interleaved batch of the same plan.
-  void (*spmv_batch)(const SpmvPlan& plan, const double* x, std::size_t batch,
-                     double* y);
 
   // --- Daubechies-4 DWT steps (periodized) ---------------------------------
   /// approx[k] / detail[k] from x[2k..2k+3 mod n]; n even, half = n / 2.
@@ -86,10 +72,6 @@ struct Ops {
   /// Inverse step: x (length 2 * half) from approx/detail (length half).
   void (*idwt_step)(const double* approx, const double* detail, std::size_t half,
                     double* x);
-  void (*dwt_step_batch)(const double* x, std::size_t n, std::size_t batch,
-                         double* approx, double* detail);
-  void (*idwt_step_batch)(const double* approx, const double* detail, std::size_t half,
-                          std::size_t batch, double* x);
 };
 
 enum class Backend {

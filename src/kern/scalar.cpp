@@ -15,15 +15,10 @@ constexpr Ops kScalarOps = {
     ref::xpby,
     ref::grad_step,
     ref::soft_threshold,
-    ref::soft_threshold_batch,
     ref::momentum,
-    ref::momentum_batch,
     ref::spmv,
-    ref::spmv_batch,
     ref::dwt_step,
     ref::idwt_step,
-    ref::dwt_step_batch,
-    ref::idwt_step_batch,
 };
 
 }  // namespace

@@ -301,14 +301,14 @@ bool RoutingClient::seal_batch(Conn& conn) {
   ++conn.frames_sent;
   const bool sent = conn.fd.valid() && send_all_vec(conn.fd.get(), bufs, 3);
   conn.staged_bodies.clear();
-  const auto batch_windows = static_cast<std::size_t>(conn.staged_count);
+  const auto frame_windows = static_cast<std::size_t>(conn.staged_count);
   conn.staged_count = 0;
   if (!sent) {
     conn.fd.reset();
     fail_pipeline(conn);
     return false;
   }
-  conn.outstanding_counts.push_back(batch_windows);
+  conn.outstanding_counts.push_back(frame_windows);
   // Bounded outgoing window: at most pipeline_depth unacknowledged frames
   // ride the wire; beyond that the submitter absorbs the shard's pace.
   while (conn.outstanding_counts.size() > cfg_.pipeline_depth) {
@@ -352,7 +352,7 @@ bool RoutingClient::submit_pipelined(host::CompressedWindow&& window) {
     ++conn.staged_count;
     conn.pending_submits.push_back(pipeline_submits_.size());
     pipeline_submits_.push_back({epoch, shard, false, std::nullopt});
-    if (conn.staged_count >= cfg_.submit_batch_windows) return seal_batch(conn);
+    if (conn.staged_count >= cfg_.windows_per_submit_frame) return seal_batch(conn);
     return true;
   }
   // No topology open: still one (failed) entry for this call.

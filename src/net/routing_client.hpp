@@ -33,7 +33,7 @@
 //     submitted == completed + shed + rejected + lost holds across crashes.
 //   * Pipelined submits (v2 shards, pipeline_depth > 0): submit_pipelined
 //     stages windows into per-shard SUBMIT_BATCH frames (one frame per
-//     submit_batch_windows windows, sealed scatter-gather — prefix, the
+//     windows_per_submit_frame windows, sealed scatter-gather — prefix, the
 //     staged bodies, CRC trailer — in one sendmsg), keeps up to
 //     pipeline_depth unacknowledged frames on the wire per shard, and
 //     defers ticket composition until the SUBMIT_BATCH_ACK arrives.
@@ -114,7 +114,7 @@ struct RoutingClientConfig {
   /// blocking submit even on v2 shards.
   std::size_t pipeline_depth = 0;
   /// Windows packed into one SUBMIT_BATCH frame in pipelined mode.
-  std::size_t submit_batch_windows = 16;
+  std::size_t windows_per_submit_frame = 16;
   WireEncodeOptions wire{};
   /// Decode result signals into pooled buffers; recycle submitted windows'
   /// payloads after the shard acknowledges them.  Same zero-copy contract

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cs/pipeline.hpp"
@@ -78,6 +79,24 @@ TEST(Fista, StopsEarlyOnConvergence) {
   cfg.tolerance = 1e-5;
   const auto result = fista_reconstruct(phi, y, cfg);
   EXPECT_LT(result.iterations_run, 2000);
+}
+
+TEST(Fista, WindowsConvergeIndependently) {
+  // A very sparse window and a dense one under the same operator stop at
+  // their own iterations: each solve's stopping rule sees only its window.
+  sig::Rng rng(4);
+  const std::size_t n = 128;
+  const auto phi = SensingMatrix::make_sparse_binary(96, n, 4, rng);
+  FistaConfig cfg;
+  cfg.dwt_levels = 3;
+  cfg.max_iterations = 300;
+  cfg.tolerance = 1e-5;
+
+  const auto sparse = fista_reconstruct(phi, phi.apply(sparse_signal(n, 3, 2, rng)), cfg);
+  const auto dense = fista_reconstruct(phi, phi.apply(sparse_signal(n, 3, 40, rng)), cfg);
+  EXPECT_NE(sparse.iterations_run, dense.iterations_run)
+      << "expected different convergence points for different sparsity";
+  EXPECT_LT(std::min(sparse.iterations_run, dense.iterations_run), cfg.max_iterations);
 }
 
 TEST(GroupFista, JointBeatsIndependentAtHighCr) {

@@ -1,6 +1,5 @@
-// Engine-level coverage for this PR's features: the batch_windows knob
-// (bit-identity at every width), the bounded LRU sensing-matrix cache,
-// and the per-patient SLO breakdown.
+// Engine-level coverage of the bounded LRU sensing-matrix cache and the
+// per-patient SLO breakdown.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,10 +22,9 @@ RecordCompressionConfig fast_compression() {
   return cfg;
 }
 
-EngineConfig fast_engine(int threads, int batch_windows) {
+EngineConfig fast_engine(int threads) {
   EngineConfig cfg;
   cfg.threads = threads;
-  cfg.batch_windows = batch_windows;
   cfg.fista.max_iterations = 40;
   cfg.fista.debias_iterations = 10;
   return cfg;
@@ -53,114 +51,12 @@ bool bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-TEST(EngineBatching, EveryBatchWidthBitIdenticalToSerial) {
-  const auto batch = two_patient_batch();
-  ReconstructionEngine serial(fast_engine(0, 1));
-  const auto reference = serial.reconstruct(batch);
-  ASSERT_EQ(reference.windows.size(), batch.size());
-
-  for (const int threads : {0, 2}) {
-    for (const int batch_windows : {4, 8}) {
-      ReconstructionEngine engine(fast_engine(threads, batch_windows));
-      const auto result = engine.reconstruct(batch);
-      ASSERT_EQ(result.windows.size(), reference.windows.size());
-      for (std::size_t i = 0; i < result.windows.size(); ++i) {
-        EXPECT_TRUE(bit_identical(result.windows[i].signal, reference.windows[i].signal))
-            << "window " << i << " threads=" << threads
-            << " batch_windows=" << batch_windows;
-        EXPECT_EQ(result.windows[i].iterations, reference.windows[i].iterations)
-            << "window " << i << " threads=" << threads
-            << " batch_windows=" << batch_windows;
-      }
-    }
-  }
-
-  // grouped_windows (perfbench's host.grouped_ratio) counts every member
-  // of a batched group and no solo solve.  Both patients' lead-0 windows
-  // share one operator; serial mode queues the whole batch before solving,
-  // so every pop is a full same-operator group, and an even count leaves
-  // no singleton tail at width 4 or 8.
-  std::vector<CompressedWindow> same_operator;
-  for (const auto& window : batch) {
-    if (window.matrix_seed == batch.front().matrix_seed) same_operator.push_back(window);
-  }
-  if (same_operator.size() % 2 != 0) same_operator.pop_back();
-  ASSERT_GE(same_operator.size(), 8u);
-  for (const int batch_windows : {1, 4, 8}) {
-    ReconstructionEngine engine(fast_engine(0, batch_windows));
-    (void)engine.reconstruct(same_operator);
-    EXPECT_EQ(engine.slo().snapshot().grouped_windows,
-              batch_windows == 1 ? 0u : same_operator.size())
-        << "batch_windows=" << batch_windows;
-  }
-}
-
-TEST(EngineBatching, MixedMatricesWithinOnePopStillCorrect) {
-  // Two patients -> distinct matrix seeds per lead: a worker popping a
-  // full batch gets a mix of matrices and must split it into same-matrix
-  // groups without mixing windows up.
-  const auto batch = two_patient_batch();
-  ReconstructionEngine serial(fast_engine(0, 1));
-  const auto reference = serial.reconstruct(batch);
-
-  // Submit everything before any worker-free solving happens: serial mode
-  // with a huge batch_windows pops the whole backlog in one help_some().
-  auto cfg = fast_engine(0, 64);
-  ReconstructionEngine engine(cfg);
-  for (const auto& window : batch) {
-    CompressedWindow copy = window;
-    ASSERT_TRUE(engine.try_submit(std::move(copy)).has_value());
-  }
-  const auto results = engine.drain();
-  ASSERT_EQ(results.size(), batch.size());
-
-  std::map<std::pair<std::uint32_t, std::uint32_t>, const WindowResult*> by_id;
-  for (const auto& r : results) by_id[{r.patient_id, r.window_index}] = &r;
-  for (const auto& expected : reference.windows) {
-    const auto found = by_id.find({expected.patient_id, expected.window_index});
-    ASSERT_NE(found, by_id.end());
-    EXPECT_TRUE(bit_identical(found->second->signal, expected.signal))
-        << "patient " << expected.patient_id << " window " << expected.window_index;
-  }
-}
-
-TEST(EngineBatching, AutoSizedBatchesStayBitIdentical) {
-  // batch_windows == 0: each worker sizes its pop from the backlog depth.
-  // Width only moves the latency/throughput trade-off — results must stay
-  // bit-identical to the serial solo-solve reference at any depth.
-  const auto batch = two_patient_batch();
-  ReconstructionEngine serial(fast_engine(0, 1));
-  const auto reference = serial.reconstruct(batch);
-
-  for (const int threads : {0, 2}) {
-    ReconstructionEngine engine(fast_engine(threads, 0));
-    // Pre-load the whole backlog before any solving in serial mode so the
-    // auto-sizer actually sees a deep queue and picks wide batches.
-    for (const auto& window : batch) {
-      CompressedWindow copy = window;
-      engine.submit(std::move(copy));
-    }
-    const auto results = engine.drain();
-    ASSERT_EQ(results.size(), batch.size()) << "threads=" << threads;
-
-    std::map<std::pair<std::uint32_t, std::uint32_t>, const WindowResult*> by_id;
-    for (const auto& r : results) by_id[{r.patient_id, r.window_index}] = &r;
-    for (const auto& expected : reference.windows) {
-      const auto found = by_id.find({expected.patient_id, expected.window_index});
-      ASSERT_NE(found, by_id.end());
-      EXPECT_TRUE(bit_identical(found->second->signal, expected.signal))
-          << "patient " << expected.patient_id << " window " << expected.window_index
-          << " threads=" << threads;
-    }
-  }
-}
-
 TEST(EngineCache, LruEvictionBoundsCacheAndKeepsResultsExact) {
-  auto unbounded_cfg = fast_engine(0, 1);
+  auto unbounded_cfg = fast_engine(0);
   unbounded_cfg.matrix_cache_capacity = 0;
   ReconstructionEngine unbounded(unbounded_cfg);
 
-  auto bounded_cfg = fast_engine(0, 1);
+  auto bounded_cfg = fast_engine(0);
   bounded_cfg.matrix_cache_capacity = 2;
   ReconstructionEngine bounded(bounded_cfg);
 
@@ -201,7 +97,7 @@ TEST(EngineCache, LruEvictionBoundsCacheAndKeepsResultsExact) {
 }
 
 TEST(EngineCache, RepeatSeedsStayCached) {
-  auto cfg = fast_engine(0, 1);
+  auto cfg = fast_engine(0);
   cfg.matrix_cache_capacity = 4;
   ReconstructionEngine engine(cfg);
   const auto batch = compress_record(make_record(51, 8), 7, fast_compression());
@@ -216,7 +112,7 @@ TEST(EngineCache, RepeatSeedsStayCached) {
 }
 
 TEST(EnginePatientSlo, PerPatientBreakdownTracksCompletions) {
-  auto cfg = fast_engine(2, 2);
+  auto cfg = fast_engine(2);
   cfg.slo.deadline_ms = 1e-6;  // Absurdly tight: every window violates.
   ReconstructionEngine engine(cfg);
 
@@ -254,7 +150,7 @@ TEST(EnginePatientSlo, PerPatientBreakdownTracksCompletions) {
 }
 
 TEST(EnginePatientSlo, TrackedPatientCapBoundsTheMap) {
-  auto cfg = fast_engine(0, 1);
+  auto cfg = fast_engine(0);
   cfg.max_tracked_patients = 3;
   ReconstructionEngine engine(cfg);
 

@@ -1,8 +1,7 @@
 // Randomized dispatch-parity property tests: the scalar and AVX2 backends
 // must produce bit-identical doubles for every kernel, for every size
-// (vector bodies AND tails), and the interleaved batch kernels must
-// reproduce the single-window kernels exactly at any batch width.  This
-// is the test behind the engine's determinism-across-dispatch contract.
+// (vector bodies AND tails).  This is the test behind the engine's
+// determinism-across-dispatch contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -111,18 +110,6 @@ TEST(DispatchParity, SoftThresholdIncludingSignedZeros) {
     avx2.soft_threshold(a_b.data(), n, 0.5);
     EXPECT_TRUE(bit_identical(a, a_b)) << "soft_threshold n=" << n;
   }
-
-  for (const std::size_t batch : {1u, 2u, 3u, 4u, 5u, 8u}) {
-    const std::size_t n = 37;
-    auto a = random_vector(n * batch, rng);
-    for (std::size_t i = 0; i < a.size(); i += 2) a[i] *= 1e-3;
-    auto a_b = a;
-    std::vector<double> tau(batch);
-    for (auto& t : tau) t = std::abs(rng.normal()) + 0.1;
-    scalar.soft_threshold_batch(a.data(), n, batch, tau.data());
-    avx2.soft_threshold_batch(a_b.data(), n, batch, tau.data());
-    EXPECT_TRUE(bit_identical(a, a_b)) << "soft_threshold_batch B=" << batch;
-  }
 }
 
 TEST(DispatchParity, Momentum) {
@@ -144,47 +131,6 @@ TEST(DispatchParity, Momentum) {
     EXPECT_TRUE(bit_identical(z_a, z_b)) << "momentum z n=" << n;
     EXPECT_TRUE(bit_identical(d_a, d_b)) << "momentum delta n=" << n;
     EXPECT_TRUE(bit_identical(s_a, s_b)) << "momentum scale n=" << n;
-  }
-}
-
-TEST(DispatchParity, MomentumBatchMatchesSingle) {
-  // Runs on every available backend: per-window batched sums must equal
-  // the single-window kernel bit for bit (the batch-width contract).
-  for (const Ops* table : {scalar_ops(), avx2_ops()}) {
-    if (table == nullptr || (table == avx2_ops() && !avx2_supported())) continue;
-    sig::Rng rng(5);
-    for (const std::size_t batch : {1u, 2u, 4u, 5u, 8u}) {
-      const std::size_t n = 67;
-      std::vector<std::vector<double>> a(batch);
-      std::vector<std::vector<double>> a_prev(batch);
-      std::vector<double> ai(n * batch);
-      std::vector<double> pi(n * batch);
-      for (std::size_t b = 0; b < batch; ++b) {
-        a[b] = random_vector(n, rng);
-        a_prev[b] = random_vector(n, rng);
-        for (std::size_t i = 0; i < n; ++i) {
-          ai[i * batch + b] = a[b][i];
-          pi[i * batch + b] = a_prev[b][i];
-        }
-      }
-      std::vector<double> zi(n * batch);
-      std::vector<double> delta(batch);
-      std::vector<double> scale(batch);
-      table->momentum_batch(ai.data(), pi.data(), zi.data(), 0.6, n, batch, delta.data(),
-                            scale.data());
-      for (std::size_t b = 0; b < batch; ++b) {
-        std::vector<double> z(n);
-        double d = 0.0;
-        double s = 0.0;
-        table->momentum(a[b].data(), a_prev[b].data(), z.data(), 0.6, n, &d, &s);
-        EXPECT_TRUE(bit_identical(d, delta[b])) << table->name << " B=" << batch;
-        EXPECT_TRUE(bit_identical(s, scale[b])) << table->name << " B=" << batch;
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_TRUE(bit_identical(z[i], zi[i * batch + b]))
-              << table->name << " B=" << batch << " i=" << i;
-        }
-      }
-    }
   }
 }
 
@@ -233,36 +179,9 @@ TEST(DispatchParity, DwtForwardInverse) {
   }
 }
 
-TEST(DispatchParity, DwtBatchMatchesSingle) {
-  sig::Rng rng(9);
-  for (const std::size_t batch : {1u, 3u, 4u, 8u}) {
-    const std::size_t n = 128;
-    const int levels = 4;
-    std::vector<std::vector<double>> xs(batch);
-    std::vector<double> interleaved(n * batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      xs[b] = random_vector(n, rng);
-      for (std::size_t i = 0; i < n; ++i) interleaved[i * batch + b] = xs[b][i];
-    }
-    const auto coeffs = dsp::dwt_forward_batch(interleaved, batch, levels);
-    const auto back = dsp::dwt_inverse_batch(coeffs, batch, levels);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto solo = dsp::dwt_forward(xs[b], levels);
-      const auto solo_back = dsp::dwt_inverse(solo, levels);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(bit_identical(solo[i], coeffs[i * batch + b]))
-            << "B=" << batch << " b=" << b << " i=" << i;
-        EXPECT_TRUE(bit_identical(solo_back[i], back[i * batch + b]))
-            << "B=" << batch << " b=" << b << " i=" << i;
-      }
-    }
-  }
-}
-
 /// End-to-end: full FISTA reconstructions must be bit-identical across
-/// backends at every batch width — the property the host engine's
-/// determinism contract rests on.
-TEST(DispatchParity, FistaEndToEndAcrossBackendsAndBatchWidths) {
+/// backends — the property the host engine's determinism contract rests on.
+TEST(DispatchParity, FistaEndToEndAcrossBackends) {
   REQUIRE_AVX2();
   BackendGuard guard;
   sig::Rng rng(10);
@@ -285,29 +204,16 @@ TEST(DispatchParity, FistaEndToEndAcrossBackendsAndBatchWidths) {
   cfg.debias_iterations = 8;
 
   ASSERT_TRUE(set_backend(Backend::kScalar));
-  std::vector<cs::FistaResult> solo_scalar;
-  for (const auto& y : ys) solo_scalar.push_back(cs::fista_reconstruct(phi, y, cfg));
+  std::vector<cs::FistaResult> expected;
+  for (const auto& y : ys) expected.push_back(cs::fista_reconstruct(phi, y, cfg));
 
-  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
-    ASSERT_TRUE(set_backend(backend));
-    for (const std::size_t batch : {1u, 4u, 8u}) {
-      for (std::size_t start = 0; start + batch <= kWindows; start += batch) {
-        const std::span<const std::vector<double>> slice(ys.data() + start, batch);
-        const auto results = cs::fista_solve_batch(phi, slice, cfg);
-        for (std::size_t b = 0; b < batch; ++b) {
-          const auto& expected = solo_scalar[start + b];
-          EXPECT_EQ(results[b].iterations_run, expected.iterations_run)
-              << "backend=" << (backend == Backend::kScalar ? "scalar" : "avx2")
-              << " B=" << batch << " window=" << start + b;
-          EXPECT_TRUE(bit_identical(results[b].signal, expected.signal))
-              << "backend=" << (backend == Backend::kScalar ? "scalar" : "avx2")
-              << " B=" << batch << " window=" << start + b;
-          EXPECT_TRUE(bit_identical(results[b].coefficients, expected.coefficients))
-              << "backend=" << (backend == Backend::kScalar ? "scalar" : "avx2")
-              << " B=" << batch << " window=" << start + b;
-        }
-      }
-    }
+  ASSERT_TRUE(set_backend(Backend::kAvx2));
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    const auto result = cs::fista_reconstruct(phi, ys[w], cfg);
+    EXPECT_EQ(result.iterations_run, expected[w].iterations_run) << "window=" << w;
+    EXPECT_TRUE(bit_identical(result.signal, expected[w].signal)) << "window=" << w;
+    EXPECT_TRUE(bit_identical(result.coefficients, expected[w].coefficients))
+        << "window=" << w;
   }
 }
 

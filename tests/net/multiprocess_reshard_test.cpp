@@ -249,7 +249,7 @@ TEST(MultiProcessReshard, PipelinedSubmitsConserveAcrossALiveReshard) {
   RoutingClientConfig client_cfg;
   client_cfg.wire.fixed_scale = cs::measurement_scale_mv(sig::AdcConfig{});
   client_cfg.pipeline_depth = 2;
-  client_cfg.submit_batch_windows = 4;
+  client_cfg.windows_per_submit_frame = 4;
   RoutingClient client(client_cfg);
   ASSERT_TRUE(client.connect({d0.endpoint(), d1.endpoint()}));
   ASSERT_EQ(client.shard_wire_version(0), 2u) << "daemons must negotiate v2 by default";

@@ -374,7 +374,7 @@ TEST(RoutingClient, PipelinedSubmitsMatchSerialReferenceBitForBit) {
   LocalShard a(2), b(2);
   auto cfg = client_config();
   cfg.pipeline_depth = 2;
-  cfg.submit_batch_windows = 4;
+  cfg.windows_per_submit_frame = 4;
   RoutingClient client(cfg);
   ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
   EXPECT_EQ(client.shard_wire_version(0), 2);
@@ -418,7 +418,7 @@ TEST(RoutingClient, PipelinedSubmitsFallBackPerWindowOnAV1Fleet) {
   LocalShard a(1, /*max_version=*/1), b(1, /*max_version=*/1);
   auto cfg = client_config();
   cfg.pipeline_depth = 2;
-  cfg.submit_batch_windows = 4;
+  cfg.windows_per_submit_frame = 4;
   RoutingClient client(cfg);
   ASSERT_TRUE(client.connect({a.endpoint(), b.endpoint()}));
   EXPECT_EQ(client.shard_wire_version(0), 1);
@@ -441,7 +441,7 @@ TEST(RoutingClient, MixedVersionFleetNegotiatesPerShard) {
   LocalShard old_shard(1, /*max_version=*/1), new_shard(1);
   auto cfg = client_config();
   cfg.pipeline_depth = 2;
-  cfg.submit_batch_windows = 4;
+  cfg.windows_per_submit_frame = 4;
   RoutingClient client(cfg);
   ASSERT_TRUE(client.connect({old_shard.endpoint(), new_shard.endpoint()}));
   EXPECT_EQ(client.shard_wire_version(0), 1);
@@ -633,7 +633,7 @@ TEST(Failover, MidStreamDisconnectResolvesTicketsOnceAndNeverDoubleSubmits) {
   LocalShard shard(1);
   auto cfg = client_config();
   cfg.pipeline_depth = 2;
-  cfg.submit_batch_windows = 2;
+  cfg.windows_per_submit_frame = 2;
   cfg.payload_pool = std::make_shared<host::PayloadPool>();
   cfg.fault_inject = [](std::size_t, std::uint64_t frame) { return frame == 2; };
   RoutingClient client(cfg);
