@@ -68,9 +68,9 @@ HOST_ADAPTIVE_ARGS = ["16", "24", "50", "--adaptive", "--threads", "2"]
 HOST_ADAPTIVE_ATTEMPTS = 3
 ADAPTIVE_SPEEDUP_FLOOR = 1.3
 # The capped degraded tier gives up some convergence relative to the
-# full-iteration Figure-5 point at the same CR (measured ~2.1-2.3 dB on
-# this shape); the margin absorbs that plus window-subset variance
-# (which windows demote depends on arrival timing).
+# full-iteration Figure-5 point at the same CR (measured ~0.1 dB on this
+# shape at the 40-iteration cap); the margin absorbs that plus
+# window-subset variance (which windows demote depends on arrival timing).
 ADAPTIVE_SNR_MARGIN_DB = 3.5
 MICRO_REPETITIONS = 3
 

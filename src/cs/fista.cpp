@@ -81,6 +81,29 @@ void debias_on_support(const SensingMatrix& phi, int levels, std::span<const dou
                        ws);
 }
 
+/// The lambda-continuation schedule both FISTA loops threshold with (see
+/// FistaConfig).  The minimizer is the final-tau LASSO's either way; only
+/// the path to it changes.  The threshold is a running product of tau and
+/// the iteration count alone (no libm call), so it is bit-identical on
+/// every backend, thread, shard and host.
+class ThresholdSchedule {
+ public:
+  explicit ThresholdSchedule(double tau) : tau_(tau), threshold_(kStart * tau) {}
+
+  /// The threshold of the current iteration.
+  double threshold() const { return threshold_; }
+  /// Whether the current iteration thresholds at the final tau; only then
+  /// may the iterate-change stop fire.
+  bool at_final() const { return threshold_ == tau_; }
+  void advance() { threshold_ = std::max(tau_, threshold_ * kDecay); }
+
+ private:
+  static constexpr double kStart = 100.0;
+  static constexpr double kDecay = 0.90;
+  double tau_;
+  double threshold_;
+};
+
 }  // namespace
 
 void FistaWorkspace::ensure(std::size_t m, std::size_t n) {
@@ -130,9 +153,10 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
 
   std::fill(a.begin(), a.end(), 0.0);
   std::fill(z.begin(), z.end(), 0.0);
+  ThresholdSchedule schedule(tau);
   double t = 1.0;
   int iterations = 0;
-  for (int it = 0; it < cfg.max_iterations; ++it) {
+  for (int it = 0; it < cfg.max_iterations; ++it, schedule.advance()) {
     // Gradient step at z: grad = A'(A z - y), a = soft(z - grad / L).
     dsp::dwt_inverse_into(z, levels, xz, scratch);
     phi.apply_into(xz, buf_m);
@@ -141,7 +165,7 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
     dsp::dwt_forward_into(buf_n, levels, grad, scratch);
     std::copy(a.begin(), a.end(), ws.a_prev.begin());
     k.grad_step(z.data(), grad.data(), lip, a.data(), n);
-    k.soft_threshold(a.data(), n, tau);
+    k.soft_threshold(a.data(), n, schedule.threshold());
 
     const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
     const double beta = (t - 1.0) / t_next;
@@ -150,7 +174,7 @@ int fista_solve_into(const SensingMatrix& phi, std::span<const double> y,
     k.momentum(a.data(), ws.a_prev.data(), z.data(), beta, n, &delta, &scale);
     t = t_next;
     iterations = it + 1;
-    if (std::sqrt(delta / (1e-12 + scale)) < cfg.tolerance) break;
+    if (schedule.at_final() && std::sqrt(delta / (1e-12 + scale)) < cfg.tolerance) break;
   }
 
   if (cfg.debias) debias_on_support_ws(phi, levels, y, a, cfg.debias_iterations, ws);
@@ -196,14 +220,15 @@ GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> ph
     const auto aty = dsp::dwt_forward(phis[l].apply_adjoint(ys[l]), levels);
     for (double v : aty) max_abs = std::max(max_abs, std::abs(v));
   }
-  const double lambda = cfg.lambda_rel * max_abs;
+  const double tau = cfg.lambda_rel * max_abs / lip;
 
   std::vector<std::vector<double>> a(num_leads, std::vector<double>(n, 0.0));
   auto z = a;
   auto a_prev = a;
+  ThresholdSchedule schedule(tau);
   double t = 1.0;
 
-  for (int it = 0; it < cfg.max_iterations; ++it) {
+  for (int it = 0; it < cfg.max_iterations; ++it, schedule.advance()) {
     a_prev = a;
     for (std::size_t l = 0; l < num_leads; ++l) {
       auto az = phis[l].apply(dsp::dwt_inverse(z[l], levels));
@@ -214,12 +239,12 @@ GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> ph
     // Group (row-wise) soft threshold: shrink the cross-lead coefficient
     // vector at each index jointly — coefficients survive only where the
     // *ensemble* of leads has energy, which is the joint-sparsity prior.
-    const double tau = lambda / lip;
+    const double threshold = schedule.threshold();
     for (std::size_t i = 0; i < n; ++i) {
       double row_norm_sq = 0.0;
       for (std::size_t l = 0; l < num_leads; ++l) row_norm_sq += a[l][i] * a[l][i];
       const double row_norm = std::sqrt(row_norm_sq);
-      const double scale = row_norm > tau ? (row_norm - tau) / row_norm : 0.0;
+      const double scale = row_norm > threshold ? (row_norm - threshold) / row_norm : 0.0;
       for (std::size_t l = 0; l < num_leads; ++l) a[l][i] *= scale;
     }
 
@@ -237,7 +262,7 @@ GroupFistaResult group_fista_reconstruct_multi(std::span<const SensingMatrix> ph
     }
     t = t_next;
     result.iterations_run = it + 1;
-    if (std::sqrt(delta / scale_acc) < cfg.tolerance) break;
+    if (schedule.at_final() && std::sqrt(delta / scale_acc) < cfg.tolerance) break;
   }
 
   result.signals.reserve(num_leads);

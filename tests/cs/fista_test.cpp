@@ -99,6 +99,51 @@ TEST(Fista, WindowsConvergeIndependently) {
   EXPECT_LT(std::min(sparse.iterations_run, dense.iterations_run), cfg.max_iterations);
 }
 
+TEST(Fista, ContinuationConvergesToTheLassoMinimizer) {
+  // lambda-continuation changes the path, not the problem: solved to
+  // convergence without the debias, one ECG window's coefficients at CR 50 %
+  // satisfy the KKT conditions of the LASSO at the window's final
+  // threshold tau, with g = Psi Phi'(Phi Psi' a - y).
+  sig::SynthConfig scfg;
+  scfg.episodes = {{sig::RhythmEpisode::Kind::kSinus, 10}};
+  scfg.noise = sig::NoiseParams::preset(sig::NoiseLevel::kNone);
+  sig::Rng rng(8);
+  const auto rec = synthesize_ecg(scfg, rng);
+  const std::vector<double> x(rec.leads[0].begin(), rec.leads[0].begin() + 512);
+  const auto phi = SensingMatrix::make_sparse_binary(256, 512, 4, rng);
+  const auto y = phi.apply(x);
+  FistaConfig cfg;
+  cfg.debias = false;
+  cfg.max_iterations = 5000;
+  cfg.tolerance = 1e-12;
+  const auto result = fista_reconstruct(phi, y, cfg);
+  EXPECT_LT(result.iterations_run, cfg.max_iterations) << "expected a tolerance stop";
+
+  const int levels = std::min(cfg.dwt_levels, dsp::dwt_max_levels(x.size()));
+  const double lip = phi.lipschitz();
+  double max_aty = 0.0;
+  for (const double c : dsp::dwt_forward(phi.apply_adjoint(y), levels)) {
+    max_aty = std::max(max_aty, std::abs(c));
+  }
+  const double tau = cfg.lambda_rel * max_aty / lip;
+
+  const auto& a = result.coefficients;
+  auto residual = phi.apply(dsp::dwt_inverse(a, levels));
+  for (std::size_t i = 0; i < residual.size(); ++i) residual[i] -= y[i];
+  const auto g = dsp::dwt_forward(phi.apply_adjoint(residual), levels);
+  constexpr double kEps = 1e-6;
+  std::size_t support = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != 0.0) {
+      ++support;
+      EXPECT_NEAR(g[i] / lip + std::copysign(tau, a[i]), 0.0, kEps * tau) << "support " << i;
+    } else {
+      EXPECT_LE(std::abs(g[i] / lip), tau * (1.0 + kEps)) << "off support " << i;
+    }
+  }
+  EXPECT_GT(support, 0u);
+}
+
 TEST(GroupFista, JointBeatsIndependentAtHighCr) {
   // The Figure-5 mechanism: leads share wavelet support, so joint recovery
   // tolerates higher CR.  Compare on a 3-lead record at CR = 75 %.

@@ -29,9 +29,9 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 // Recorded from the scalar and AVX2 backends (identical by contract).
-constexpr std::uint64_t kCr50Hash = 15648104379889796767ULL;
-constexpr std::uint64_t kCr65Hash = 967078103796175494ULL;
-constexpr std::uint64_t kDegradedHash = 5614933070510894062ULL;
+constexpr std::uint64_t kCr50Hash = 4906853982407233497ULL;
+constexpr std::uint64_t kCr65Hash = 9940004066653872894ULL;
+constexpr std::uint64_t kDegradedHash = 12512364744930292688ULL;
 
 /// 64-bit FNV-1a over the raw bytes of `xs`, continuing from `h`.
 std::uint64_t fnv1a(std::span<const double> xs, std::uint64_t h = kFnvOffset) {
@@ -79,14 +79,14 @@ std::uint64_t degraded_hash() {
   window.solve_tier.tier = 1;
   window.solve_tier.effective_m =
       static_cast<std::uint32_t>(cs::rows_for_cr(65.0, window.window_samples));
-  window.solve_tier.iteration_cap = 80;
+  window.solve_tier.iteration_cap = 40;  // Below the default budget.
   ReconstructionEngine engine{EngineConfig{}};
   engine.submit(std::move(window));
   const auto results = engine.drain();
   EXPECT_EQ(results.size(), 1u);
   if (results.empty()) return 0;
   EXPECT_TRUE(results[0].degraded);
-  EXPECT_EQ(results[0].iterations, 80);
+  EXPECT_EQ(results[0].iterations, 40);
   return fnv1a(results[0].signal);
 }
 
